@@ -11,7 +11,7 @@
  *              [--runtime precise|pliant|learned]
  *              [--learned-scalar]
  *              [--load 0.78] [--interval-s 1.0] [--seed 1]
- *              [--engine-threads N] [--fast-sampling]
+ *              [--fast-sampling]
  *              [--cache-partitioning] [--csv timeline|summary]
  *              [--nodes N] [--placement static|least-loaded|qos-aware]
  *              [--epoch-s 5.0]
@@ -34,11 +34,9 @@
  * --nodes N > 1 runs a cluster: every node hosts the service list,
  * and --placement decides where the apps land (and, for qos-aware,
  * whether they migrate at --epoch-s boundaries).
- * --engine-threads N parallelizes the per-tick tenant phase inside
- * every engine (byte-identical output at any N); --fast-sampling
- * switches the latency samplers to the quantile-table path, which is
- * faster but NOT byte-identical — never use it when diffing against
- * pinned output.
+ * --fast-sampling switches the latency samplers to the
+ * quantile-table path, which is faster but NOT byte-identical — never
+ * use it when diffing against pinned output.
  * --admission / --batching enable the request-level admission
  * front-end on every tenant: queueing delay composes into the
  * monitored tails, shed/batch counters appear in the tables and CSV
@@ -55,11 +53,17 @@
  * the deterministic metrics registry as pliant-metrics-v1 JSON and
  * --metrics-summary prints it as a table. All three leave the
  * simulation outputs byte-identical to a run without them.
+ *
+ * A numeric value must be one whole finite number within its flag's
+ * range (e.g. --load 0..2, --nodes 1..10000); anything else prints
+ * the usage message and exits 2.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -79,6 +83,9 @@ using namespace pliant;
 
 namespace {
 
+/** Budgets are cluster totals: any finite non-negative value. */
+constexpr double kMaxBudget = std::numeric_limits<double>::max();
+
 [[noreturn]] void
 usage(const char *argv0)
 {
@@ -90,7 +97,7 @@ usage(const char *argv0)
            " [--apps a,b,...] [--runtime precise|pliant|learned]"
            " [--learned-scalar]"
            " [--load F] [--interval-s S] [--seed N]"
-           " [--engine-threads N] [--fast-sampling]"
+           " [--fast-sampling]"
            " [--cache-partitioning] [--csv timeline|summary]"
            " [--nodes N] [--placement static|least-loaded|qos-aware]"
            " [--epoch-s S]"
@@ -103,6 +110,29 @@ usage(const char *argv0)
            " [--metrics-summary]"
            " [--list-apps]\n";
     std::exit(2);
+}
+
+/**
+ * Parse `text` (the value of `flag`) as one number in [lo, hi]. The
+ * whole token must parse; nan, ±inf, trailing junk and out-of-range
+ * values are usage errors (exit 2), never an uncaught exception.
+ */
+template <typename T>
+T
+parseNumber(const std::string &flag, const std::string &text, T lo,
+            T hi, const char *argv0)
+{
+    T v{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    // Comparisons with a NaN are false, so the range check also
+    // rejects nan; the bounds are finite, so it rejects ±inf too.
+    if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) {
+        std::cerr << "error: " << flag << " wants a number in [" << lo
+                  << ", " << hi << "], got '" << text << "'\n";
+        usage(argv0);
+    }
+    return v;
 }
 
 admission::AdmissionKind
@@ -134,7 +164,9 @@ parseBatching(const std::string &s, admission::AdmissionConfig &cfg,
     if (s == "fixed" || s.rfind("fixed:", 0) == 0) {
         cfg.batching = admission::BatchingKind::Fixed;
         if (s.size() > 6)
-            cfg.batchSize = std::stoi(s.substr(6));
+            cfg.batchSize =
+                parseNumber("--batching fixed:", s.substr(6), 1,
+                            1 << 20, argv0);
         else if (s.size() == 6)
             usage(argv0);
         return;
@@ -142,7 +174,9 @@ parseBatching(const std::string &s, admission::AdmissionConfig &cfg,
     if (s == "adaptive" || s.rfind("adaptive:", 0) == 0) {
         cfg.batching = admission::BatchingKind::Adaptive;
         if (s.size() > 9)
-            cfg.batchTimeoutUs = std::stod(s.substr(9));
+            cfg.batchTimeoutUs =
+                parseNumber("--batching adaptive:", s.substr(9), 1e-3,
+                            1e9, argv0);
         else if (s.size() == 9)
             usage(argv0);
         return;
@@ -273,6 +307,9 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        auto number = [&](auto lo, auto hi) {
+            return parseNumber(arg, next(), lo, hi, argv[0]);
+        };
         if (arg == "--service") {
             cfg.service = parseService(next(), argv[0]);
         } else if (arg == "--services") {
@@ -295,24 +332,22 @@ main(int argc, char **argv)
         } else if (arg == "--learned-scalar") {
             cfg.learnedVector = false;
         } else if (arg == "--load") {
-            cfg.loadFraction = std::stod(next());
+            cfg.loadFraction = number(0.0, 2.0);
         } else if (arg == "--interval-s") {
-            cfg.decisionInterval = sim::fromSeconds(std::stod(next()));
+            cfg.decisionInterval = sim::fromSeconds(number(1e-3, 3600.0));
         } else if (arg == "--seed") {
-            cfg.seed = std::stoull(next());
-        } else if (arg == "--engine-threads") {
-            cfg.engineThreads =
-                static_cast<unsigned>(std::stoul(next()));
+            cfg.seed = number(std::uint64_t{0},
+                              std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--fast-sampling") {
             cfg.fastSampling = true;
         } else if (arg == "--cache-partitioning") {
             cfg.enableCachePartitioning = true;
         } else if (arg == "--nodes") {
-            nodes = std::stoul(next());
+            nodes = number(std::size_t{1}, std::size_t{10000});
         } else if (arg == "--placement") {
             placement = parsePlacement(next(), argv[0]);
         } else if (arg == "--epoch-s") {
-            epoch = sim::fromSeconds(std::stod(next()));
+            epoch = sim::fromSeconds(number(1e-3, 3600.0));
         } else if (arg == "--admission") {
             cfg.admission.enabled = true;
             cfg.admission.policy = parseAdmission(next(), argv[0]);
@@ -321,13 +356,13 @@ main(int argc, char **argv)
             parseBatching(next(), cfg.admission, argv[0]);
         } else if (arg == "--queue-bound-qos") {
             cfg.admission.enabled = true;
-            cfg.admission.queueBoundQos = std::stod(next());
+            cfg.admission.queueBoundQos = number(1e-3, 1e6);
         } else if (arg == "--quality-budget") {
             budget_cfg.enabled = true;
-            budget_cfg.qualityBudget = std::stod(next());
+            budget_cfg.qualityBudget = number(0.0, kMaxBudget);
         } else if (arg == "--shed-budget") {
             budget_cfg.enabled = true;
-            budget_cfg.shedBudget = std::stod(next());
+            budget_cfg.shedBudget = number(0.0, kMaxBudget);
         } else if (arg == "--budget-policy") {
             budget_cfg.enabled = true;
             budget_cfg.policy = parseBudgetPolicy(next(), argv[0]);
@@ -404,7 +439,6 @@ main(int argc, char **argv)
                 .cachePartitioning(cfg.enableCachePartitioning)
                 .placement(placement)
                 .epoch(epoch)
-                .engineThreads(cfg.engineThreads)
                 .fastSampling(cfg.fastSampling)
                 .seed(cfg.seed);
             if (cfg.admission.enabled)

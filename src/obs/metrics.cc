@@ -1,7 +1,7 @@
 /**
  * @file
- * MetricsRegistry implementation: registration, freezing, the fixed
- * lane-order fold, snapshot merging, and the JSON/table exporters.
+ * MetricsRegistry implementation: registration, freezing,
+ * snapshots and their merging, and the JSON/table exporters.
  */
 
 #include "obs/metrics.hh"
@@ -17,14 +17,6 @@ namespace obs {
 
 namespace {
 
-/** Pad a lane count so each slot's shard run owns whole cache lines. */
-std::size_t
-paddedLanes(unsigned lanes)
-{
-    constexpr std::size_t kLine = 64 / sizeof(std::uint64_t);
-    return ((lanes + kLine - 1) / kLine) * kLine;
-}
-
 /** Emit a double the way the bench JSON writers do (round-trip). */
 void
 jsonNumber(std::ostream &os, double v)
@@ -38,6 +30,32 @@ jsonNumber(std::ostream &os, double v)
         // the only producers and export as null.
         os << "null";
     }
+}
+
+/**
+ * A duration in seconds, in the largest of s/ms/us/ns that keeps the
+ * magnitude at or above 1, so per-tick phase timers stay readable.
+ */
+std::string
+fmtDuration(double seconds)
+{
+    const double mag = std::fabs(seconds);
+    if (mag >= 1.0 || mag == 0.0 || !std::isfinite(mag))
+        return util::fmt(seconds, 3) + " s";
+    if (mag >= 1e-3)
+        return util::fmt(seconds * 1e3, 3) + " ms";
+    if (mag >= 1e-6)
+        return util::fmt(seconds * 1e6, 3) + " us";
+    return util::fmt(seconds * 1e9, 1) + " ns";
+}
+
+/** Whether a metric's values are wall-clock durations in seconds. */
+bool
+isWallDuration(const MetricValue &m)
+{
+    const std::string &n = m.name;
+    return m.stability == Stability::WallTime && n.size() > 2 &&
+           n.compare(n.size() - 2, 2, "_s") == 0;
 }
 
 void
@@ -76,8 +94,6 @@ stabilityName(Stability stability)
     switch (stability) {
     case Stability::Deterministic:
         return "deterministic";
-    case Stability::LaneDependent:
-        return "lane_dependent";
     case Stability::WallTime:
         return "wall_time";
     }
@@ -171,11 +187,6 @@ MetricsSnapshot::merge(const MetricsSnapshot &other)
     }
 }
 
-MetricsRegistry::MetricsRegistry(unsigned lanes)
-    : laneCount(lanes > 0 ? lanes : 1)
-{
-}
-
 MetricId
 MetricsRegistry::registerMetric(std::string name, MetricKind kind,
                                 Stability stability,
@@ -194,8 +205,10 @@ MetricsRegistry::registerMetric(std::string name, MetricKind kind,
 MetricId
 MetricsRegistry::counter(std::string name, Stability stability)
 {
+    const auto slot = static_cast<std::uint32_t>(counters.size());
+    counters.push_back(0);
     return registerMetric(std::move(name), MetricKind::Counter,
-                          stability, counterSlots++);
+                          stability, slot);
 }
 
 MetricId
@@ -221,7 +234,8 @@ MetricsRegistry::histogram(std::string name, double lo, double base,
                            std::size_t buckets, Stability stability)
 {
     const auto slot = static_cast<std::uint32_t>(histSpecs.size());
-    histSpecs.push_back(HistSpec{lo, base, buckets});
+    histSpecs.push_back(HistSpec{lo, base});
+    hists.emplace_back(lo, base, buckets);
     return registerMetric(std::move(name), MetricKind::Histogram,
                           stability, slot);
 }
@@ -231,12 +245,6 @@ MetricsRegistry::freeze()
 {
     PLIANT_ASSERT(!isFrozen, "metrics registry frozen twice");
     isFrozen = true;
-    counterStride = paddedLanes(laneCount);
-    counterShards.assign(counterSlots * counterStride, 0);
-    hists.reserve(histSpecs.size() * laneCount);
-    for (const HistSpec &spec : histSpecs)
-        for (unsigned lane = 0; lane < laneCount; ++lane)
-            hists.emplace_back(spec.lo, spec.base, spec.buckets);
 }
 
 MetricsSnapshot
@@ -253,11 +261,7 @@ MetricsRegistry::snapshot() const
         const std::uint32_t slot = slotOf[id];
         switch (m.kind) {
         case MetricKind::Counter:
-            // Integer fold in ascending lane order: exact under any
-            // grouping, hence lane/thread-count invariant.
-            for (unsigned lane = 0; lane < laneCount; ++lane)
-                m.count +=
-                    counterShards[slot * counterStride + lane];
+            m.count = counters[slot];
             break;
         case MetricKind::Gauge:
             m.value = gauges[slot];
@@ -269,13 +273,8 @@ MetricsRegistry::snapshot() const
             const HistSpec &spec = histSpecs[slot];
             m.histLo = spec.lo;
             m.histBase = spec.base;
-            m.buckets.assign(spec.buckets + 2, 0);
-            for (unsigned lane = 0; lane < laneCount; ++lane) {
-                const auto &shard =
-                    hists[slot * laneCount + lane].buckets();
-                for (std::size_t i = 0; i < shard.size(); ++i)
-                    m.buckets[i] += shard[i];
-            }
+            const auto &b = hists[slot].buckets();
+            m.buckets.assign(b.begin(), b.end());
             break;
         }
         }
@@ -343,18 +342,21 @@ metricsTable(const MetricsSnapshot &snap)
 {
     util::TextTable table({"metric", "kind", "stability", "value"});
     for (const MetricValue &m : snap.metrics) {
+        const auto num = [&m](double v) {
+            return isWallDuration(m) ? fmtDuration(v) : util::fmt(v, 4);
+        };
         std::string value;
         switch (m.kind) {
         case MetricKind::Counter:
             value = std::to_string(m.count);
             break;
         case MetricKind::Gauge:
-            value = util::fmt(m.value, 4);
+            value = num(m.value);
             break;
         case MetricKind::Stat:
             value = "n=" + std::to_string(m.stat.count()) +
-                    " mean=" + util::fmt(m.stat.mean(), 4) +
-                    " max=" + util::fmt(m.stat.max(), 4);
+                    " mean=" + num(m.stat.mean()) +
+                    " max=" + num(m.stat.max());
             break;
         case MetricKind::Histogram:
             value = "n=" + std::to_string(m.histCount()) +

@@ -23,11 +23,10 @@ struct Aggregate
 };
 
 Aggregate
-aggregate(const approx::PressureVector *corunners, std::size_t n)
+aggregate(const std::vector<approx::PressureVector> &corunners)
 {
     Aggregate agg;
-    for (std::size_t i = 0; i < n; ++i) {
-        const approx::PressureVector &p = corunners[i];
+    for (const approx::PressureVector &p : corunners) {
         agg.llc += p.llcMb;
         agg.bw += p.membwGbs;
         agg.compute += p.compute;
@@ -38,12 +37,6 @@ aggregate(const approx::PressureVector *corunners, std::size_t n)
                         0.5 * std::min(p.membwGbs / 22.0, 1.2);
     }
     return agg;
-}
-
-Aggregate
-aggregate(const std::vector<approx::PressureVector> &corunners)
-{
-    return aggregate(corunners.data(), corunners.size());
 }
 
 /**
@@ -146,19 +139,7 @@ InterferenceModel::contentionMulti(
     const std::vector<approx::PressureVector> &tasks,
     const CachePartition &partition) const
 {
-    return contentionMulti(self, peers.data(), peers.size(),
-                           tasks.data(), tasks.size(), partition);
-}
-
-ContentionBreakdown
-InterferenceModel::contentionMulti(
-    const approx::PressureVector &self,
-    const approx::PressureVector *peers, std::size_t n_peers,
-    const approx::PressureVector *tasks, std::size_t n_tasks,
-    const CachePartition &partition) const
-{
-    return contend(llcMb, peakBw, self, aggregate(peers, n_peers),
-                   aggregate(tasks, n_tasks),
+    return contend(llcMb, peakBw, self, aggregate(peers), aggregate(tasks),
                    partition.isolated() ? &partition : nullptr);
 }
 

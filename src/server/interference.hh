@@ -110,20 +110,6 @@ class InterferenceModel
         const CachePartition &partition) const;
 
     /**
-     * Pointer/length form of contentionMulti for hot paths whose
-     * peer/task lists live in per-worker arenas instead of
-     * std::vectors. Aggregation order (and therefore every floating
-     * point intermediate) is identical to the vector overload, which
-     * simply forwards here — the byte-identity suites hold across
-     * both entry points.
-     */
-    ContentionBreakdown contentionMulti(
-        const approx::PressureVector &self,
-        const approx::PressureVector *peers, std::size_t n_peers,
-        const approx::PressureVector *tasks, std::size_t n_tasks,
-        const CachePartition &partition) const;
-
-    /**
      * Service-time inflation factor (>= 1) for a service with the
      * given sensitivity under the given contention.
      */
