@@ -18,7 +18,11 @@
  *
  * Like perf_tick, the configuration is frozen: the committed
  * BENCH_scale.json is generated with --quick (the CI shape) and the
- * schema checker hard-fails if any deterministic field moves.
+ * schema checker hard-fails if any deterministic field moves. Also
+ * like perf_tick, the work is counted in executed node-ticks and
+ * sampled request latencies: the folded `engine.ticks` and
+ * `engine.samples` counters of one untimed obs-enabled pass, run
+ * after the timed cells so their RSS readings do not include it.
  *
  * Usage: fig_scale [--quick] [--threads N] [--out FILE]
  *                  [--rss-limit-mb M]
@@ -41,6 +45,7 @@
 #include <vector>
 
 #include "cluster/cluster.hh"
+#include "obs/metrics.hh"
 #include "util/table.hh"
 
 using namespace pliant;
@@ -65,8 +70,7 @@ double
 now()
 {
     using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
+    return std::chrono::duration<double>(clock::now().time_since_epoch())
         .count();
 }
 
@@ -88,8 +92,7 @@ scaleConfig(sim::Time horizon, unsigned pool_threads)
             // Staggered by (node, slot) so the tenant mix is not
             // uniform across nodes, but stays a pure function of the
             // indices (determinism: no clock, no global RNG).
-            const double load =
-                0.40 + 0.03 * static_cast<double>((n + s) % 5);
+            const double load = 0.40 + 0.03 * static_cast<double>((n + s) % 5);
             builder.service((mc ? "mc-" : "ngx-") + std::to_string(s),
                             mc ? services::ServiceKind::Memcached
                                : services::ServiceKind::Nginx,
@@ -97,9 +100,9 @@ scaleConfig(sim::Time horizon, unsigned pool_threads)
         }
     }
     builder
-        .apps({"canneal", "streamcluster", "bayesian", "kmeans",
-               "snp", "raytrace", "fluidanimate", "water_nsquared",
-               "birch", "genenet", "semphy", "plsa"})
+        .apps({"canneal", "streamcluster", "bayesian", "kmeans", "snp",
+               "raytrace", "fluidanimate", "water_nsquared", "birch",
+               "genenet", "semphy", "plsa"})
         .runtime(core::RuntimeKind::Pliant)
         .placement(cluster::PlacementKind::Static)
         .tick(1 * kS)
@@ -119,17 +122,18 @@ struct Measurement
     unsigned poolThreads = 1;
     double wallSeconds = 0.0;
     std::uint64_t ticks = 0;
+    std::uint64_t samples = 0;
     double peakRssMbAfter = 0.0;
     cluster::ClusterResult result;
     bool identicalToSerial = true;
 
-    double
-    ticksPerSec() const
+    double perSec(std::uint64_t count) const
     {
-        return wallSeconds > 0.0
-            ? static_cast<double>(ticks) / wallSeconds
-            : 0.0;
+        return wallSeconds > 0.0 ? static_cast<double>(count) / wallSeconds
+                                 : 0.0;
     }
+    double ticksPerSec() const { return perSec(ticks); }
+    double samplesPerSec() const { return perSec(samples); }
 };
 
 Measurement
@@ -141,8 +145,6 @@ runCell(const std::string &name, const std::string &description,
     m.description = description;
     m.poolThreads = pool_threads;
     const cluster::ClusterConfig cfg = scaleConfig(horizon, pool_threads);
-    m.ticks = static_cast<std::uint64_t>(cfg.nodes.size()) *
-        static_cast<std::uint64_t>(cfg.maxDuration / cfg.tick);
     cluster::Cluster c(cfg);
     const double t0 = now();
     m.result = c.run();
@@ -155,28 +157,45 @@ runCell(const std::string &name, const std::string &description,
 }
 
 /**
+ * Executed node-ticks and samples of the scale shape: the folded
+ * counters of one obs-enabled run (the registry leaves simulated
+ * outputs unchanged, and the counts do not depend on pool threads).
+ */
+void
+countWork(sim::Time horizon, unsigned pool_threads,
+          std::vector<Measurement> &results)
+{
+    cluster::ClusterConfig cfg = scaleConfig(horizon, pool_threads);
+    cfg.observability.metrics = true;
+    const cluster::ClusterResult r = cluster::Cluster(cfg).run();
+    const obs::MetricValue *ticks = r.metrics.find("engine.ticks");
+    const obs::MetricValue *samples = r.metrics.find("engine.samples");
+    for (Measurement &m : results) {
+        m.ticks = ticks ? ticks->count : 0;
+        m.samples = samples ? samples->count : 0;
+    }
+}
+
+/**
  * Exact comparison of every scalar rollup against the serial cell.
  * These are doubles out of the simulation, not timings: the
  * streaming-aggregation contract is == at any thread count.
  */
 bool
-rollupsEqual(const cluster::ClusterResult &a,
-             const cluster::ClusterResult &b)
+rollupsEqual(const cluster::ClusterResult &a, const cluster::ClusterResult &b)
 {
     return a.worstServiceRatio == b.worstServiceRatio &&
-        a.steadyP99Us == b.steadyP99Us &&
-        a.meanQosMetFraction == b.meanQosMetFraction &&
-        a.meanInaccuracy == b.meanInaccuracy &&
-        a.meanRelativeExecTime == b.meanRelativeExecTime &&
-        a.appsFinished == b.appsFinished &&
-        a.appsTotal == b.appsTotal &&
-        a.totalMaxCoresReclaimed == b.totalMaxCoresReclaimed &&
-        a.migrations.size() == b.migrations.size();
+           a.steadyP99Us == b.steadyP99Us &&
+           a.meanQosMetFraction == b.meanQosMetFraction &&
+           a.meanInaccuracy == b.meanInaccuracy &&
+           a.meanRelativeExecTime == b.meanRelativeExecTime &&
+           a.appsFinished == b.appsFinished && a.appsTotal == b.appsTotal &&
+           a.totalMaxCoresReclaimed == b.totalMaxCoresReclaimed &&
+           a.migrations.size() == b.migrations.size();
 }
 
 void
-writeJson(const std::string &path,
-          const std::vector<Measurement> &results)
+writeJson(const std::string &path, const std::vector<Measurement> &results)
 {
     std::ofstream out(path);
     if (!out) {
@@ -193,18 +212,17 @@ writeJson(const std::string &path,
             << "      \"name\": \"" << m.name << "\",\n"
             << "      \"description\": \"" << m.description << "\",\n"
             << "      \"nodes\": " << kNodes << ",\n"
-            << "      \"tenants\": " << kNodes * kServicesPerNode
-            << ",\n"
+            << "      \"tenants\": " << kNodes * kServicesPerNode << ",\n"
             << "      \"pool_threads\": " << m.poolThreads << ",\n"
             << "      \"ticks\": " << m.ticks << ",\n"
-            << "      \"steady_p99_us\": " << m.result.steadyP99Us
-            << ",\n"
-            << "      \"worst_ratio\": " << m.result.worstServiceRatio
-            << ",\n"
+            << "      \"samples\": " << m.samples << ",\n"
+            << "      \"steady_p99_us\": " << m.result.steadyP99Us << ",\n"
+            << "      \"worst_ratio\": " << m.result.worstServiceRatio << ",\n"
             << "      \"identical_to_serial\": "
             << (m.identicalToSerial ? "true" : "false") << ",\n"
             << "      \"wall_s\": " << m.wallSeconds << ",\n"
             << "      \"ticks_per_sec\": " << m.ticksPerSec() << ",\n"
+            << "      \"samples_per_sec\": " << m.samplesPerSec() << ",\n"
             << "      \"peak_rss_mb\": " << m.peakRssMbAfter << "\n"
             << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
     }
@@ -225,8 +243,8 @@ main(int argc, char **argv)
         if (arg == "--quick") {
             horizon = 12 * kS;
         } else if (arg == "--threads" && i + 1 < argc) {
-            threads = std::max(
-                2U, static_cast<unsigned>(std::atoi(argv[++i])));
+            threads =
+                std::max(2U, static_cast<unsigned>(std::atoi(argv[++i])));
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else if (arg == "--rss-limit-mb" && i + 1 < argc) {
@@ -243,24 +261,23 @@ main(int argc, char **argv)
               << "-tenant streaming-aggregation sweep ===\n\n";
 
     const std::string shape = std::to_string(kNodes) + " nodes x " +
-        std::to_string(kServicesPerNode) +
-        " tenants, 12 static apps, streaming rollups";
+                              std::to_string(kServicesPerNode) +
+                              " tenants, 12 static apps, streaming rollups";
     std::vector<Measurement> results;
+    results.push_back(runCell("scale_serial", shape + ", serial", horizon, 1));
     results.push_back(
-        runCell("scale_serial", shape + ", serial", horizon, 1));
-    results.push_back(runCell("scale_pool", shape + ", node pool",
-                              horizon, threads));
+        runCell("scale_pool", shape + ", node pool", horizon, threads));
     for (Measurement &m : results)
-        m.identicalToSerial =
-            rollupsEqual(m.result, results.front().result);
+        m.identicalToSerial = rollupsEqual(m.result, results.front().result);
+    countWork(horizon, threads, results);
 
-    util::TextTable t({"config", "pool", "wall s", "ticks/s",
-                       "steady p99", "worst ratio", "rss MB",
-                       "== serial"});
+    util::TextTable t({"config", "pool", "wall s", "ticks/s", "samples/s",
+                       "steady p99", "worst ratio", "rss MB", "== serial"});
     for (const Measurement &m : results)
         t.addRow({m.name, std::to_string(m.poolThreads),
                   util::fmt(m.wallSeconds, 2),
                   util::fmt(m.ticksPerSec() / 1e3, 1) + "k",
+                  util::fmt(m.samplesPerSec() / 1e6, 2) + "M",
                   util::fmt(m.result.steadyP99Us, 1),
                   util::fmt(m.result.worstServiceRatio, 4),
                   util::fmt(m.peakRssMbAfter, 1),

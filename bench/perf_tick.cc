@@ -6,7 +6,7 @@
  * hot-path regimes — the paper's single-service colocation (fig5
  * shape), a wide 8-tenant flash-crowd box, an admission-enabled
  * front-end, and a 3-node cluster — and reports wall time plus
- * simulated ticks per second for each. Results are written as
+ * node-ticks and samples per second for each. Results are written as
  * `BENCH_tick.json` (repo root when run from there; `--out` to
  * override) so every PR can compare against the previous trajectory
  * point.
@@ -16,10 +16,13 @@
  * byte-identical (see the regression suites) while moving wall time;
  * this harness only measures, it does not validate.
  *
- * Ticks are executed node-ticks: each engine's clock for the
- * single-engine configs (apps may finish before maxDuration), and
- * the cluster's folded `engine.ticks` counter from one untimed
- * obs-enabled pass for the cluster config (its engines are private).
+ * Every row counts its work in the same two units: executed
+ * node-ticks and sampled request latencies, the folded
+ * `engine.ticks` and `engine.samples` counters of one untimed
+ * obs-enabled pass per config (apps may finish before maxDuration,
+ * and a cluster's engines are private). Both counts are
+ * deterministic; ticks_per_sec and samples_per_sec divide them by the
+ * best-of-N wall time.
  *
  * Usage: perf_tick [--quick] [--reps N] [--out FILE]
  *                  [--fast-sampling]
@@ -64,22 +67,38 @@ namespace {
 
 constexpr sim::Time kS = sim::kSecond;
 
+/** Deterministic work of one config: node-ticks and samples. */
+struct Work
+{
+    std::uint64_t ticks = 0;
+    std::uint64_t samples = 0;
+};
+
+/** The work counters of an obs-enabled run's folded snapshot. */
+Work
+workOf(const obs::MetricsSnapshot &snap)
+{
+    const obs::MetricValue *ticks = snap.find("engine.ticks");
+    const obs::MetricValue *samples = snap.find("engine.samples");
+    return {ticks ? ticks->count : 0, samples ? samples->count : 0};
+}
+
 /** Wall-time measurement of one config set: best of `reps` runs. */
 struct Measurement
 {
     std::string name;
     std::string description;
     double wallSeconds = 0.0;
-    std::uint64_t ticks = 0;
+    Work work;
     bool fastSampling = false;
 
-    double
-    ticksPerSec() const
+    double perSec(std::uint64_t count) const
     {
-        return wallSeconds > 0.0
-            ? static_cast<double>(ticks) / wallSeconds
-            : 0.0;
+        return wallSeconds > 0.0 ? static_cast<double>(count) / wallSeconds
+                                 : 0.0;
     }
+    double ticksPerSec() const { return perSec(work.ticks); }
+    double samplesPerSec() const { return perSec(work.samples); }
 };
 
 double
@@ -92,8 +111,9 @@ now()
 }
 
 /**
- * Single-engine config set: run to completion, count executed ticks
- * from the engine's clock (apps may finish before maxDuration).
+ * Single-engine config set, timed with the registry off. The work
+ * comes from one untimed obs-enabled run (the registry leaves
+ * simulated outputs unchanged).
  */
 Measurement
 runEngineSet(const std::string &name, const std::string &description,
@@ -103,36 +123,21 @@ runEngineSet(const std::string &name, const std::string &description,
     m.name = name;
     m.description = description;
     m.fastSampling = cfg.fastSampling;
+    colo::ColoConfig counted = cfg;
+    counted.observability.metrics = true;
+    m.work = workOf(colo::Engine(counted).run().metrics);
     for (int r = 0; r < reps; ++r) {
         colo::Engine engine(cfg);
         const double t0 = now();
         engine.run();
         const double dt = now() - t0;
-        const std::uint64_t ticks =
-            static_cast<std::uint64_t>(engine.now() / cfg.tick);
-        if (r == 0 || dt < m.wallSeconds) {
+        if (r == 0 || dt < m.wallSeconds)
             m.wallSeconds = dt;
-            m.ticks = ticks;
-        }
     }
     return m;
 }
 
-/**
- * Executed node-ticks of a cluster config: the folded engine.ticks
- * counter of one obs-enabled run (the counter is deterministic, and
- * the registry leaves simulated outputs unchanged).
- */
-std::uint64_t
-clusterTicks(cluster::ClusterConfig cfg)
-{
-    cfg.observability.metrics = true;
-    const cluster::ClusterResult r = cluster::Cluster(cfg).run();
-    const obs::MetricValue *ticks = r.metrics.find("engine.ticks");
-    return ticks ? ticks->count : 0;
-}
-
-/** Cluster config set, timed with the registry off. */
+/** Cluster config set, counted and timed like runEngineSet. */
 Measurement
 runClusterSet(const std::string &name,
               const std::string &description,
@@ -142,16 +147,16 @@ runClusterSet(const std::string &name,
     m.name = name;
     m.description = description;
     m.fastSampling = cfg.fastSampling;
-    const std::uint64_t ticks = clusterTicks(cfg);
+    cluster::ClusterConfig counted = cfg;
+    counted.observability.metrics = true;
+    m.work = workOf(cluster::Cluster(counted).run().metrics);
     for (int r = 0; r < reps; ++r) {
         cluster::Cluster c(cfg);
         const double t0 = now();
         c.run();
         const double dt = now() - t0;
-        if (r == 0 || dt < m.wallSeconds) {
+        if (r == 0 || dt < m.wallSeconds)
             m.wallSeconds = dt;
-            m.ticks = ticks;
-        }
     }
     return m;
 }
@@ -260,8 +265,10 @@ writeJson(const std::string &path,
             << "      \"fast_sampling\": "
             << (m.fastSampling ? "true" : "false") << ",\n"
             << "      \"wall_s\": " << m.wallSeconds << ",\n"
-            << "      \"ticks\": " << m.ticks << ",\n"
-            << "      \"ticks_per_sec\": " << m.ticksPerSec() << "\n"
+            << "      \"ticks\": " << m.work.ticks << ",\n"
+            << "      \"samples\": " << m.work.samples << ",\n"
+            << "      \"ticks_per_sec\": " << m.ticksPerSec() << ",\n"
+            << "      \"samples_per_sec\": " << m.samplesPerSec() << "\n"
             << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -377,11 +384,12 @@ main(int argc, char **argv)
             "cluster_3_node@fast", cluster_description, cfg, reps));
     }
 
-    util::TextTable t({"config", "wall s", "ticks", "ticks/s"});
+    util::TextTable t({"config", "wall s", "ticks", "ticks/s", "samples/s"});
     for (const Measurement &m : results)
         t.addRow({m.name, util::fmt(m.wallSeconds, 3),
-                  std::to_string(m.ticks),
-                  util::fmt(m.ticksPerSec() / 1e3, 1) + "k"});
+                  std::to_string(m.work.ticks),
+                  util::fmt(m.ticksPerSec() / 1e3, 1) + "k",
+                  util::fmt(m.samplesPerSec() / 1e6, 2) + "M"});
     t.print(std::cout);
 
     writeJson(out_path, results, reps);

@@ -4,13 +4,14 @@
 Works for any bench that writes the shared row shape (perf_tick,
 fig_scale). Fails (exit 1) on schema drift: top-level keys, the
 per-config key set, the config roster/order, or any deterministic
-simulation field changing — for fig_scale that includes the cluster
-rollups (steady_p99_us, worst_ratio) and the thread-invariance bit
-(identical_to_serial), which are pure simulation outputs and must
-not move between machines. Wall-clock fields (wall_s,
-ticks_per_sec, peak_rss_mb) are noisy on shared runners, so they
-only produce a warning line showing the ratio — the perf
-trajectory artifact is where timing history lives.
+simulation field changing — the work counts (ticks, samples) and,
+for fig_scale, the cluster rollups (steady_p99_us, worst_ratio) and
+the thread-invariance bit (identical_to_serial), which are pure
+simulation outputs and must not move between machines. Wall-clock
+fields (wall_s, ticks_per_sec, samples_per_sec, peak_rss_mb) are
+noisy on shared runners, so they only produce a warning line
+showing the ratio — the perf trajectory artifact is where timing
+history lives.
 
 Also validates metrics exports (perf_tick --metrics-summary writes
 metrics.json, a wrapper with one embedded pliant-metrics-v1 export
@@ -29,10 +30,12 @@ import sys
 WALL_CLOCK_FIELDS = {
     "wall_s",
     "ticks_per_sec",
+    "samples_per_sec",
     "peak_rss_mb",
 }
 DETERMINISTIC_FIELDS = {
     "ticks",
+    "samples",
     "fast_sampling",
     "nodes",
     "tenants",

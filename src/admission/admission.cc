@@ -65,38 +65,43 @@ validateAdmissionConfig(const AdmissionConfig &cfg)
 {
     if (!cfg.enabled)
         return;
-    if (!(cfg.queueBoundQos > 0.0))
-        util::fatal("admission queue bound must be positive (got ",
+    // Every check is written so NaN fails it: a comparison with NaN
+    // is false, so each range test is a negated in-range test, and
+    // the open-ended ones add std::isfinite.
+    if (!(cfg.queueBoundQos > 0.0) || !std::isfinite(cfg.queueBoundQos))
+        util::fatal("admission queue bound must be finite and positive "
+                    "(got ",
                     cfg.queueBoundQos, " x QoS)");
-    if (cfg.shedThreshold < 0.0 || cfg.shedThreshold >= 1.0)
+    if (!(cfg.shedThreshold >= 0.0 && cfg.shedThreshold < 1.0))
         util::fatal("admission shed threshold must be in [0, 1) (got ",
                     cfg.shedThreshold, ")");
-    if (!(cfg.shedAggressiveness > 0.0))
-        util::fatal("admission shed aggressiveness must be positive "
-                    "(got ",
+    if (!(cfg.shedAggressiveness > 0.0) ||
+        !std::isfinite(cfg.shedAggressiveness))
+        util::fatal("admission shed aggressiveness must be finite and "
+                    "positive (got ",
                     cfg.shedAggressiveness, ")");
-    if (!(cfg.maxShedFraction > 0.0) || cfg.maxShedFraction > 1.0)
+    if (!(cfg.maxShedFraction > 0.0 && cfg.maxShedFraction <= 1.0))
         util::fatal("admission max shed fraction must be in (0, 1] "
                     "(got ",
                     cfg.maxShedFraction, ")");
     if (cfg.batchSize < 1)
         util::fatal("fixed batch size must be at least 1 (got ",
                     cfg.batchSize, ")");
-    if (!(cfg.batchTimeoutUs > 0.0))
-        util::fatal("adaptive batch timeout must be positive (got ",
+    if (!(cfg.batchTimeoutUs > 0.0) || !std::isfinite(cfg.batchTimeoutUs))
+        util::fatal("adaptive batch timeout must be finite and positive "
+                    "(got ",
                     cfg.batchTimeoutUs, " us)");
     if (cfg.maxBatchSize < 1)
         util::fatal("adaptive max batch size must be at least 1 (got ",
                     cfg.maxBatchSize, ")");
-    if (cfg.batchEfficiency < 0.0 || cfg.batchEfficiency >= 1.0)
+    if (!(cfg.batchEfficiency >= 0.0 && cfg.batchEfficiency < 1.0))
         util::fatal("batch efficiency must be in [0, 1) (got ",
                     cfg.batchEfficiency, ")");
-    if (!(cfg.dispatchUtilization > 0.0) ||
-        cfg.dispatchUtilization > 1.0)
+    if (!(cfg.dispatchUtilization > 0.0 && cfg.dispatchUtilization <= 1.0))
         util::fatal("dispatch utilization target must be in (0, 1] "
                     "(got ",
                     cfg.dispatchUtilization, ")");
-    if (cfg.arrivalJitter < 0.0 || cfg.arrivalJitter >= 1.0)
+    if (!(cfg.arrivalJitter >= 0.0 && cfg.arrivalJitter < 1.0))
         util::fatal("arrival jitter amplitude must be in [0, 1) "
                     "(got ",
                     cfg.arrivalJitter, ")");

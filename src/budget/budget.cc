@@ -1,6 +1,7 @@
 #include "budget/budget.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 
@@ -40,13 +41,16 @@ validateBudgetConfig(const BudgetConfig &cfg)
 {
     if (!cfg.enabled)
         return;
-    if (cfg.qualityBudget < 0.0)
-        util::fatal("quality budget must be non-negative (got ",
+    // Every check is written so NaN fails it: a comparison with NaN
+    // is false, so each range test is a negated in-range test.
+    if (!(cfg.qualityBudget >= 0.0) || !std::isfinite(cfg.qualityBudget))
+        util::fatal("quality budget must be finite and non-negative "
+                    "(got ",
                     cfg.qualityBudget, ")");
-    if (cfg.shedBudget < 0.0)
-        util::fatal("shed budget must be non-negative (got ",
+    if (!(cfg.shedBudget >= 0.0) || !std::isfinite(cfg.shedBudget))
+        util::fatal("shed budget must be finite and non-negative (got ",
                     cfg.shedBudget, ")");
-    if (cfg.alpha <= 0.0 || cfg.alpha > 1.0)
+    if (!(cfg.alpha > 0.0 && cfg.alpha <= 1.0))
         util::fatal("budget EWMA alpha must be in (0, 1], got ",
                     cfg.alpha);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 
 #include "driver/pool.hh"
@@ -36,7 +37,8 @@ validateClusterConfig(const ClusterConfig &cfg)
                         resolvedNodeName(cfg.nodes[i], i),
                         "' hosts no interactive service");
         const auto &specs = cfg.nodes[i].services;
-        for (std::size_t a = 0; a < specs.size(); ++a)
+        for (std::size_t a = 0; a < specs.size(); ++a) {
+            colo::validateScenario(specs[a].scenario, specs[a].resolvedName());
             for (std::size_t b = a + 1; b < specs.size(); ++b)
                 if (specs[a].resolvedName() == specs[b].resolvedName())
                     util::fatal("duplicate service '",
@@ -44,6 +46,7 @@ validateClusterConfig(const ClusterConfig &cfg)
                                 resolvedNodeName(cfg.nodes[i], i),
                                 "': give same-kind tenants distinct "
                                 "instance names");
+        }
         for (std::size_t j = i + 1; j < cfg.nodes.size(); ++j)
             if (resolvedNodeName(cfg.nodes[i], i) ==
                 resolvedNodeName(cfg.nodes[j], j))
@@ -55,6 +58,11 @@ validateClusterConfig(const ClusterConfig &cfg)
         util::fatal("decision interval must be positive");
     if (cfg.tick <= 0)
         util::fatal("simulation tick must be positive");
+    // Floating-point checks are negated in-range tests, so NaN fails.
+    if (!(cfg.slackThreshold >= 0.0) || !std::isfinite(cfg.slackThreshold))
+        util::fatal("slack threshold must be finite and non-negative "
+                    "(got ",
+                    cfg.slackThreshold, ")");
     if (cfg.decisionInterval < cfg.tick)
         util::fatal("decision interval (",
                     sim::toSeconds(cfg.decisionInterval),

@@ -233,13 +233,20 @@ validateConfig(const ColoConfig &cfg)
         s.scenario = Scenario::constant(cfg.loadFraction);
         specs.push_back(s);
     }
-    for (std::size_t i = 0; i < specs.size(); ++i)
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        validateScenario(specs[i].scenario, specs[i].resolvedName());
         for (std::size_t j = i + 1; j < specs.size(); ++j)
             if (specs[i].resolvedName() == specs[j].resolvedName())
                 util::fatal("duplicate service '",
                             specs[i].resolvedName(),
                             "' in colocation config: give same-kind "
                             "tenants distinct instance names");
+    }
+    // Floating-point checks are negated in-range tests, so NaN fails.
+    if (!(cfg.slackThreshold >= 0.0) || !std::isfinite(cfg.slackThreshold))
+        util::fatal("slack threshold must be finite and non-negative "
+                    "(got ",
+                    cfg.slackThreshold, ")");
 
     // Timing must be validated here too: a zero tick would spin the
     // loop forever and a non-positive interval would never close a
@@ -607,13 +614,24 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             }
 
             ten.service->tick(cfg.tick, inflationBuf[s], ten.tickBuf);
-            if (ten.admission)
-                for (double &sample : ten.tickBuf.sampleUs)
-                    sample += ten.admOut.queueDelayUs;
-            ten.monitor->observe(ten.tickBuf.sampleUs);
-            if (tick_start >= warmup) {
+            // One pass over the tick's samples: each end-to-end
+            // latency feeds the monitor and, after warmup, the
+            // steady-state sketch. Each accumulator sees the samples
+            // in buffer order, as separate passes would feed them.
+            core::PerformanceMonitor &monitor = *ten.monitor;
+            const bool steady = tick_start >= warmup;
+            const auto feed = [&](double latency_us) {
+                monitor.observe(latency_us);
+                if (steady)
+                    ten.steady.add(latency_us);
+            };
+            if (ten.admission) {
+                const double queue_delay_us = ten.admOut.queueDelayUs;
                 for (double sample : ten.tickBuf.sampleUs)
-                    ten.steady.add(sample);
+                    feed(sample + queue_delay_us);
+            } else {
+                for (double sample : ten.tickBuf.sampleUs)
+                    feed(sample);
             }
             ten.lastLoad = ten.tickBuf.offeredLoad;
             if (metrics)

@@ -144,9 +144,10 @@ Scenario::trace(std::vector<LoadPoint> points)
         util::fatal("trace scenario needs at least one (time, load) "
                     "point");
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (points[i].load < 0.0)
+        if (!(points[i].load >= 0.0) || !std::isfinite(points[i].load))
             util::fatal("trace scenario point ", i,
-                        " has negative load ", points[i].load);
+                        " needs a finite non-negative load (got ",
+                        points[i].load, ")");
         if (i > 0 && points[i].t <= points[i - 1].t)
             util::fatal("trace scenario times must be strictly "
                         "increasing: point ",
@@ -216,6 +217,24 @@ Scenario::traceFromCsvFile(const std::string &path)
     if (!in)
         util::fatal("cannot open trace CSV '", path, "'");
     return traceFromCsv(in);
+}
+
+void
+validateScenario(const Scenario &scenario, const std::string &service)
+{
+    const auto check_load = [&](const char *what, double load) {
+        if (!(load >= 0.0) || !std::isfinite(load))
+            util::fatal("service '", service, "' ", what,
+                        " must be finite and non-negative (got ", load, ")");
+    };
+    check_load("scenario base load", scenario.baseLoad);
+    check_load("scenario peak load", scenario.peakLoad);
+    if (!std::isfinite(scenario.amplitude))
+        util::fatal("service '", service,
+                    "' diurnal amplitude must be finite (got ",
+                    scenario.amplitude, ")");
+    for (const LoadPoint &p : scenario.points)
+        check_load("trace load", p.load);
 }
 
 } // namespace colo

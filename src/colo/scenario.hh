@@ -120,6 +120,14 @@ struct Scenario
     static Scenario traceFromCsvFile(const std::string &path);
 };
 
+/**
+ * Reject a scenario whose loads are negative, NaN or infinite (or
+ * whose diurnal amplitude is not finite); throws util::FatalError
+ * naming `service`. Called by colo::validateConfig and
+ * cluster::validateClusterConfig.
+ */
+void validateScenario(const Scenario &scenario, const std::string &service);
+
 } // namespace colo
 } // namespace pliant
 

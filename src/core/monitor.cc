@@ -12,48 +12,27 @@ PerformanceMonitor::PerformanceMonitor(std::size_t sample_budget,
     window.reserve(budget);
 }
 
-void
-PerformanceMonitor::observe(double latency_us)
-{
-    ++offeredCount;
-    ++windowOffered;
-    longRun.add(latency_us);
-    if (window.size() < budget) {
-        window.push_back(latency_us);
-        return;
-    }
-    // Reservoir replacement keeps the window a uniform sample of the
-    // interval's traffic.
-    const std::uint64_t j = rng.uniformInt(windowOffered);
-    if (j < budget)
-        window[static_cast<std::size_t>(j)] = latency_us;
-}
-
-void
-PerformanceMonitor::observe(const std::vector<double> &latencies_us)
-{
-    for (double l : latencies_us)
-        observe(l);
-}
-
 IntervalReport
 PerformanceMonitor::closeInterval()
 {
     IntervalReport rep;
     rep.samples = window.size();
     if (!window.empty()) {
+        // The mean sums in window order, before selection reorders
+        // the window.
         double sum = 0.0;
         for (double l : window)
             sum += l;
-        // The window dies with the interval, so sort it in place:
-        // one sort (no copy) serves every percentile read. Values
-        // are bit-identical to the old per-percentile
-        // PercentileWindow copies — same sorted data, same
-        // interpolation.
-        std::sort(window.begin(), window.end());
-        rep.p99Us = util::sortedPercentile(window, 99.0);
-        rep.p50Us = util::sortedPercentile(window, 50.0);
         rep.meanUs = sum / static_cast<double>(window.size());
+        // The window dies with the interval, so select in place:
+        // p99 and p50 need only the order statistics at their
+        // interpolation ranks, which selection finds in O(n) where a
+        // sort pays O(n log n). The values are the ones a sort
+        // followed by util::sortedPercentile reads, bit for bit.
+        const util::PercentilePair tail =
+            util::selectPercentiles(window, 99.0, 50.0);
+        rep.p99Us = tail.upper;
+        rep.p50Us = tail.lower;
     }
     window.clear();
     windowOffered = 0;

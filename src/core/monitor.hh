@@ -12,6 +12,7 @@
 #define PLIANT_CORE_MONITOR_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.hh"
@@ -33,6 +34,11 @@ struct IntervalReport
  * Latency monitor with adaptive sampling: when the offered sample
  * volume exceeds the per-interval budget, it keeps a uniform
  * subsample, bounding monitoring cost independent of load.
+ *
+ * observe() is defined inline here: the engine feeds every sampled
+ * latency through it inside its per-sample loop, so the call costs
+ * no cross-translation-unit jump. closeInterval() reads the p99 and
+ * p50 by selection (util::selectPercentiles), not by sorting.
  */
 class PerformanceMonitor
 {
@@ -44,11 +50,22 @@ class PerformanceMonitor
     explicit PerformanceMonitor(std::size_t sample_budget = 4096,
                                 std::uint64_t seed = 11);
 
-    /** Feed a batch of measured latencies (microseconds). */
-    void observe(const std::vector<double> &latencies_us);
-
-    /** Feed a single latency measurement. */
-    void observe(double latency_us);
+    /** Feed one measured latency (microseconds). */
+    void observe(double latency_us)
+    {
+        ++offeredCount;
+        ++windowOffered;
+        longRun.add(latency_us);
+        if (window.size() < budget) {
+            window.push_back(latency_us);
+            return;
+        }
+        // Reservoir replacement keeps the window a uniform sample of
+        // the interval's traffic.
+        const std::uint64_t j = rng.uniformInt(windowOffered);
+        if (j < budget)
+            window[static_cast<std::size_t>(j)] = latency_us;
+    }
 
     /**
      * Close the current decision interval: compute the report and

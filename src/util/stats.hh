@@ -86,11 +86,29 @@ class RunningStats
 };
 
 /**
+ * Interpolation ranks of percentile p over n >= 2 sorted values: the
+ * percentile is x[lo] + frac * (x[hi] - x[lo]), with hi clamped to the
+ * last index. @param p percentile in [0, 100].
+ */
+struct PercentileRank
+{
+    std::size_t lo;
+    std::size_t hi;
+    double frac;
+};
+
+inline PercentileRank
+percentileRank(std::size_t n, double p)
+{
+    const double rank = (p / 100.0) * static_cast<double>(n - 1);
+    const std::size_t lo = static_cast<std::size_t>(rank);
+    return {lo, std::min(lo + 1, n - 1), rank - static_cast<double>(lo)};
+}
+
+/**
  * Percentile of an already-sorted sample via linear interpolation
  * between closest ranks. @param p percentile in [0, 100]. Returns 0
- * on an empty sample. Shared by PercentileWindow and the monitor's
- * interval close, which sorts its window once and reads several
- * percentiles off it.
+ * on an empty sample. Shared by PercentileWindow and FiveNumber.
  */
 inline double
 sortedPercentile(const std::vector<double> &sorted, double p)
@@ -99,11 +117,57 @@ sortedPercentile(const std::vector<double> &sorted, double p)
         return 0.0;
     if (sorted.size() == 1)
         return sorted.front();
-    const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    const PercentileRank r = percentileRank(sorted.size(), p);
+    return sorted[r.lo] + r.frac * (sorted[r.hi] - sorted[r.lo]);
+}
+
+/** Two percentiles of one sample (see selectPercentiles). */
+struct PercentilePair
+{
+    double upper = 0.0;
+    double lower = 0.0;
+};
+
+/**
+ * sortedPercentile() of a sorted copy of `v` at p_upper and p_lower
+ * (p_lower <= p_upper), computed by selection instead of a sort, and
+ * equal bit for bit.
+ *
+ * Interpolation reads only the order statistics at ranks lo and
+ * lo + 1. std::nth_element puts the rank-lo value at v[lo] with
+ * everything after it >= v[lo], so the rank-(lo + 1) value is the
+ * minimum of that tail. After the upper selection, v[0, lo_upper)
+ * holds exactly the lo_upper smallest values, so the lower rank is
+ * selected inside that prefix. The same ranks, values and
+ * interpolation expression give the same doubles; values that
+ * compare equal are interchangeable (the only equal-but-different
+ * doubles are +0.0 and -0.0, which a sort does not order either).
+ * O(n) on average against the sort's O(n log n). Reorders `v`;
+ * returns zeros on an empty sample.
+ */
+inline PercentilePair
+selectPercentiles(std::vector<double> &v, double p_upper, double p_lower)
+{
+    if (v.empty())
+        return {};
+    if (v.size() == 1)
+        return {v.front(), v.front()};
+    const auto first = v.begin();
+    const auto read = [&](const PercentileRank &r) {
+        const double lo = first[r.lo];
+        double hi = lo;
+        if (r.hi != r.lo)
+            hi = *std::min_element(first + r.lo + 1, v.end());
+        return lo + r.frac * (hi - lo);
+    };
+    const PercentileRank upper = percentileRank(v.size(), p_upper);
+    std::nth_element(first, first + upper.lo, v.end());
+    const PercentileRank lower = percentileRank(v.size(), p_lower);
+    PercentilePair out;
+    out.upper = read(upper);
+    std::nth_element(first, first + lower.lo, first + upper.lo);
+    out.lower = read(lower);
+    return out;
 }
 
 /**
@@ -114,8 +178,9 @@ sortedPercentile(const std::vector<double> &sorted, double p)
  *
  * Percentile queries sort a cached copy once per window generation:
  * any number of percentile()/p99()/p50() calls between adds reuse
- * the same sorted array (the monitors read two percentiles per
- * interval close), and the next add() invalidates it.
+ * the same sorted array, and the next add() invalidates it. A
+ * caller that owns a throwaway window and needs only a couple of
+ * percentiles should use selectPercentiles() instead.
  */
 class PercentileWindow
 {

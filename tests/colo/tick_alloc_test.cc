@@ -1,8 +1,9 @@
 /**
  * @file
  * A warmed-up colo::Engine tick loop performs zero heap allocations,
- * with observability off and on — the property the engine-owned
- * hot-loop buffers and the frozen metrics registry exist to provide.
+ * with observability off and on and with an admission front-end —
+ * the property the engine-owned hot-loop buffers and the frozen
+ * metrics registry exist to provide.
  *
  * The file overrides the global allocation functions, so it must
  * stay its own test binary.
@@ -149,11 +150,9 @@ TEST(TickAllocTest, WarmTickLoopPerformsZeroHeapAllocations)
     Engine engine(cfg);
     engine.advanceUntil(sim::Time(10.2 * kS));
 
-    const std::uint64_t before =
-        g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
     engine.advanceUntil(sim::Time(10.9 * kS));
-    const std::uint64_t after =
-        g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
 
     EXPECT_EQ(after - before, 0U)
         << "warm tick loop allocated " << (after - before)
@@ -182,15 +181,48 @@ TEST(TickAllocTest, WarmTickLoopStaysZeroAllocWithMetricsEnabled)
     Engine engine(cfg);
     engine.advanceUntil(sim::Time(10.2 * kS));
 
-    const std::uint64_t before =
-        g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
     engine.advanceUntil(sim::Time(10.9 * kS));
-    const std::uint64_t after =
-        g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
 
     EXPECT_EQ(after - before, 0U)
-        << "metrics-enabled warm tick loop allocated "
-        << (after - before) << " times between 10.2s and 10.9s";
+        << "metrics-enabled warm tick loop allocated " << (after - before)
+        << " times between 10.2s and 10.9s";
+}
+
+TEST(TickAllocTest, WarmTickLoopStaysZeroAllocWithAdmission)
+{
+    // The admission branch of the per-sample pass: mc-a is offered
+    // 1.10 of saturation, so its QoS-guided shed and adaptive
+    // batching front-end queues, sheds and adds queue delay to every
+    // sample — and still must not allocate. Same window as above.
+    const ColoConfig cfg =
+        ConfigBuilder()
+            .service("mc-a", services::ServiceKind::Memcached,
+                     Scenario::constant(1.10))
+            .service("mc-b", services::ServiceKind::Memcached,
+                     Scenario::constant(0.60))
+            .service("ng", services::ServiceKind::Nginx,
+                     Scenario::constant(0.55))
+            .apps({"canneal", "bayesian"})
+            .runtime(core::RuntimeKind::Pliant)
+            .admission(admission::AdmissionKind::QosShed,
+                       admission::BatchingKind::Adaptive)
+            .seed(5)
+            .build();
+    Engine engine(cfg);
+    engine.advanceUntil(sim::Time(10.2 * kS));
+
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    engine.advanceUntil(sim::Time(10.9 * kS));
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+
+    EXPECT_EQ(after - before, 0U)
+        << "admission-enabled warm tick loop allocated " << (after - before)
+        << " times between 10.2s and 10.9s";
+    // The front-end is engaged: the last closed interval saw queue
+    // delay on mc-a's samples.
+    EXPECT_GT(engine.lastReports().front().queueDelayUs, 0.0);
 }
 
 } // namespace

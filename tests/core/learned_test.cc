@@ -21,8 +21,7 @@ using namespace pliant::core;
 class SyntheticActuator : public Actuator
 {
   public:
-    explicit SyntheticActuator(int most_approx = 6)
-        : mostApprox(most_approx)
+    explicit SyntheticActuator(int most_approx = 6) : mostApprox(most_approx)
     {
     }
 
@@ -32,8 +31,7 @@ class SyntheticActuator : public Actuator
     int mostApproxOf(int) const override { return mostApprox; }
     void switchVariant(int, int v) override { variant = v; }
 
-    bool
-    reclaimCore(int) override
+    bool reclaimCore(int) override
     {
         if (cores <= 1)
             return false;
@@ -41,8 +39,7 @@ class SyntheticActuator : public Actuator
         return true;
     }
 
-    bool
-    returnCore(int) override
+    bool returnCore(int) override
     {
         if (cores >= 8)
             return false;
@@ -53,8 +50,7 @@ class SyntheticActuator : public Actuator
     int reclaimedFrom(int) const override { return 8 - cores; }
 
     /** Latency the environment produces at the current state. */
-    double
-    latency() const
+    double latency() const
     {
         // Each variant buys `step` us; each reclaimed core buys 20 us.
         return base - step * variant - 20.0 * (8 - cores);
@@ -81,8 +77,7 @@ TEST(LearnedRuntimeTest, RejectsBadAlpha)
     SyntheticActuator env;
     LearnedParams p;
     p.alpha = 0.0;
-    EXPECT_THROW(LearnedRuntime r(env, p, 1),
-                 pliant::util::FatalError);
+    EXPECT_THROW(LearnedRuntime r(env, p, 1), pliant::util::FatalError);
 }
 
 TEST(LearnedRuntimeTest, EscalatesOnViolation)
@@ -259,8 +254,8 @@ TEST(LearnedVectorTest, DistinguishesAlternationFromSustainedPressure)
         p.vectorConditioned = vector;
         LearnedRuntime rt(env, p, 1);
         for (int i = 0; i < 10; ++i)
-            rt.onInterval(twoTenants(i % 2 ? 0.93 : 0.53,
-                                     i % 2 ? 0.53 : 0.93));
+            rt.onInterval(
+                twoTenants(i % 2 ? 0.93 : 0.53, i % 2 ? 0.53 : 0.93));
         rt.onInterval(twoTenants(1.02, 0.70)); // mild violation
         EXPECT_GT(env.variant, 0);
         for (int i = 0; i < 6; ++i)
@@ -308,8 +303,7 @@ TEST(LearnedVectorTest, ModelSurvivesMigrationRoundTrip)
     migrated.onTaskRemoved(0); // the destination had no prior task
     migrated.onTaskAdded(state);
     EXPECT_TRUE(migrated.explored(0, 0));
-    EXPECT_NEAR(migrated.estimate(0, 0), source.estimate(0, 0),
-                1e-12);
+    EXPECT_NEAR(migrated.estimate(0, 0), source.estimate(0, 0), 1e-12);
     EXPECT_TRUE(migrated.explored(0, 0, "svc-a"));
     EXPECT_NEAR(migrated.estimate(0, 0, "svc-a"),
                 source.estimate(0, 0, "svc-a"), 1e-12);

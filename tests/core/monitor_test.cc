@@ -5,9 +5,15 @@
 
 #include "core/monitor.hh"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.hh"
+#include "util/stats.hh"
 
 namespace {
 
@@ -65,12 +71,43 @@ TEST(MonitorTest, SubsampledP99StillAccurate)
     EXPECT_NEAR(r.p99Us, 380.0, 80.0);
 }
 
-TEST(MonitorTest, BatchObserve)
+TEST(MonitorTest, IntervalTailEqualsSortedWindowBitwise)
 {
-    PerformanceMonitor m;
-    m.observe(std::vector<double>{1.0, 2.0, 3.0});
-    const IntervalReport r = m.closeInterval();
-    EXPECT_EQ(r.samples, 3u);
+    // util::Reservoir runs the monitor's replacement rule on the
+    // same Xoshiro stream, so it mirrors the monitor's window. The
+    // selection-based close must report exactly what sorting that
+    // window and interpolating would: under the budget, at it, and
+    // after reservoir replacement.
+    constexpr std::size_t kBudget = 4096;
+    constexpr std::uint64_t kSeed = 21;
+    pliant::util::SplitMix64 sm(0x3017u);
+    PerformanceMonitor m(kBudget, kSeed);
+    pliant::util::Rng mirror_rng(kSeed);
+    for (std::size_t offered : {1u, 2u, 3u, 100u, 4095u, 4096u, 30000u}) {
+        pliant::util::Reservoir<pliant::util::Rng> mirror(kBudget);
+        for (std::size_t i = 0; i < offered; ++i) {
+            // Latency-like values with ties: 1 us grid over a
+            // heavy-tailed spread.
+            const double u = static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
+            const double latency = std::floor(100.0 * std::pow(1.0 - u, -0.7));
+            m.observe(latency);
+            mirror.add(latency, mirror_rng);
+        }
+        double sum = 0.0;
+        for (double x : mirror.data())
+            sum += x;
+        std::vector<double> sorted = mirror.data();
+        std::sort(sorted.begin(), sorted.end());
+
+        const IntervalReport r = m.closeInterval();
+        ASSERT_EQ(r.samples, std::min(offered, kBudget));
+        EXPECT_EQ(r.p99Us, pliant::util::sortedPercentile(sorted, 99.0))
+            << "offered " << offered;
+        EXPECT_EQ(r.p50Us, pliant::util::sortedPercentile(sorted, 50.0))
+            << "offered " << offered;
+        EXPECT_EQ(r.meanUs, sum / static_cast<double>(sorted.size()))
+            << "offered " << offered;
+    }
 }
 
 TEST(MonitorTest, LongRunP99SurvivesIntervals)

@@ -37,23 +37,18 @@ class MockActuator : public Actuator
             t.mostApprox = most_approx;
     }
 
-    int taskCount() const override
-    {
-        return static_cast<int>(tasks.size());
-    }
+    int taskCount() const override { return static_cast<int>(tasks.size()); }
     bool taskFinished(int t) const override { return at(t).finished; }
     int variantOf(int t) const override { return at(t).variant; }
     int mostApproxOf(int t) const override { return at(t).mostApprox; }
 
-    void
-    switchVariant(int t, int v) override
+    void switchVariant(int t, int v) override
     {
         at(t).variant = v;
         ++switches;
     }
 
-    bool
-    reclaimCore(int t) override
+    bool reclaimCore(int t) override
     {
         if (at(t).cores <= 1)
             return false;
@@ -61,8 +56,7 @@ class MockActuator : public Actuator
         return true;
     }
 
-    bool
-    returnCore(int t) override
+    bool returnCore(int t) override
     {
         if (at(t).cores >= at(t).fairCores)
             return false;
@@ -70,8 +64,7 @@ class MockActuator : public Actuator
         return true;
     }
 
-    int
-    reclaimedFrom(int t) const override
+    int reclaimedFrom(int t) const override
     {
         return at(t).fairCores - at(t).cores;
     }
@@ -80,10 +73,7 @@ class MockActuator : public Actuator
     double qualityCost(int t) const override { return at(t).cost; }
 
     Task &at(int t) { return tasks[static_cast<std::size_t>(t)]; }
-    const Task &at(int t) const
-    {
-        return tasks[static_cast<std::size_t>(t)];
-    }
+    const Task &at(int t) const { return tasks[static_cast<std::size_t>(t)]; }
 
     std::vector<Task> tasks;
     int switches = 0;
@@ -222,8 +212,7 @@ TEST(PliantRuntimeTest, HysteresisDelaysRevert)
     PliantRuntime rt(act, prm, 1);
     EXPECT_EQ(rt.onInterval(100.0, 200.0).kind, Decision::Kind::None);
     EXPECT_EQ(rt.onInterval(100.0, 200.0).kind, Decision::Kind::None);
-    EXPECT_EQ(rt.onInterval(100.0, 200.0).kind,
-              Decision::Kind::StepDown);
+    EXPECT_EQ(rt.onInterval(100.0, 200.0).kind, Decision::Kind::StepDown);
 }
 
 TEST(PliantRuntimeTest, ViolationResetsSlackStreak)
@@ -237,8 +226,7 @@ TEST(PliantRuntimeTest, ViolationResetsSlackStreak)
     rt.onInterval(100.0, 200.0); // slack streak 1/2
     // Violation resets the streak (and reclaims a core, since the
     // task is already at its most approximate variant).
-    EXPECT_EQ(rt.onInterval(300.0, 200.0).kind,
-              Decision::Kind::ReclaimCore);
+    EXPECT_EQ(rt.onInterval(300.0, 200.0).kind, Decision::Kind::ReclaimCore);
     rt.onInterval(100.0, 200.0); // slack streak 1/2 again
     // Streak completes: the revert path returns the reclaimed core
     // first (cores before variants).
@@ -256,15 +244,12 @@ TEST(PliantRuntimeTest, AdaptiveBackoffAfterPunishedRevert)
     prm.punishWindow = 3;
     PliantRuntime rt(act, prm, 1);
     // Revert (step down), then get punished by a violation.
-    EXPECT_EQ(rt.onInterval(100.0, 200.0).kind,
-              Decision::Kind::StepDown);
-    EXPECT_EQ(rt.onInterval(300.0, 200.0).kind,
-              Decision::Kind::SwitchToMost);
+    EXPECT_EQ(rt.onInterval(100.0, 200.0).kind, Decision::Kind::StepDown);
+    EXPECT_EQ(rt.onInterval(300.0, 200.0).kind, Decision::Kind::SwitchToMost);
     // Required streak doubled to 2: one slack interval no longer
     // triggers a revert.
     EXPECT_EQ(rt.onInterval(100.0, 200.0).kind, Decision::Kind::None);
-    EXPECT_EQ(rt.onInterval(100.0, 200.0).kind,
-              Decision::Kind::StepDown);
+    EXPECT_EQ(rt.onInterval(100.0, 200.0).kind, Decision::Kind::StepDown);
 }
 
 TEST(PliantRuntimeTest, ViolationCountTracks)
@@ -391,8 +376,8 @@ TEST(MultiServiceRuntimeTest, WorstRatioPicksTheMostViolatedService)
 {
     // 150/200 = 0.75 vs 9500/10000 = 0.95: nginx is closer to its
     // (much larger) target, so it dominates the severity signal.
-    EXPECT_DOUBLE_EQ(
-        worstRatio(reports({{150.0, 200.0}, {9500.0, 10e3}})), 0.95);
+    EXPECT_DOUBLE_EQ(worstRatio(reports({{150.0, 200.0}, {9500.0, 10e3}})),
+                     0.95);
     EXPECT_DOUBLE_EQ(worstRatio({}), 0.0);
 }
 
@@ -402,8 +387,7 @@ TEST(MultiServiceRuntimeTest, ViolationOnAnyServiceActuates)
     PliantRuntime rt(act, noHysteresis(), 1);
     // Service 0 comfortably under QoS, service 1 violating: the
     // joint loop must still escalate.
-    const Decision d =
-        rt.onInterval(reports({{100.0, 200.0}, {12e3, 10e3}}));
+    const Decision d = rt.onInterval(reports({{100.0, 200.0}, {12e3, 10e3}}));
     EXPECT_EQ(d.kind, Decision::Kind::SwitchToMost);
     EXPECT_EQ(act.at(0).variant, 4);
 }
@@ -441,10 +425,8 @@ TEST(MultiServiceRuntimeTest, ScalarShorthandEqualsOneEntryVector)
 TEST(DecisionTest, NamesArePrintable)
 {
     EXPECT_EQ(decisionName(Decision::Kind::None), "none");
-    EXPECT_EQ(decisionName(Decision::Kind::SwitchToMost),
-              "switch-to-most");
-    EXPECT_EQ(decisionName(Decision::Kind::ReclaimCore),
-              "reclaim-core");
+    EXPECT_EQ(decisionName(Decision::Kind::SwitchToMost), "switch-to-most");
+    EXPECT_EQ(decisionName(Decision::Kind::ReclaimCore), "reclaim-core");
     EXPECT_EQ(decisionName(Decision::Kind::ReturnCore), "return-core");
     EXPECT_EQ(decisionName(Decision::Kind::StepDown), "step-down");
 }

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,10 +19,14 @@ namespace {
 
 using pliant::util::FiveNumber;
 using pliant::util::P2Quantile;
+using pliant::util::PercentilePair;
 using pliant::util::PercentileWindow;
 using pliant::util::Reservoir;
 using pliant::util::Rng;
 using pliant::util::RunningStats;
+using pliant::util::selectPercentiles;
+using pliant::util::sortedPercentile;
+using pliant::util::SplitMix64;
 
 TEST(RunningStatsTest, EmptyIsZero)
 {
@@ -127,10 +134,8 @@ TEST(RunningStatsTest, ManyShardMergeEqualsSequential)
     EXPECT_EQ(merged.count(), whole.count());
     EXPECT_DOUBLE_EQ(merged.min(), whole.min());
     EXPECT_DOUBLE_EQ(merged.max(), whole.max());
-    EXPECT_NEAR(merged.mean(), whole.mean(),
-                1e-12 * std::abs(whole.mean()));
-    EXPECT_NEAR(merged.variance(), whole.variance(),
-                1e-9 * whole.variance());
+    EXPECT_NEAR(merged.mean(), whole.mean(), 1e-12 * std::abs(whole.mean()));
+    EXPECT_NEAR(merged.variance(), whole.variance(), 1e-9 * whole.variance());
 }
 
 TEST(RunningStatsTest, MergeOneSidedAndSelfEmpty)
@@ -216,17 +221,14 @@ TEST(PercentileWindowTest, CachedSortSurvivesInterleavedQueries)
         if (i % 7 == 0 || i % 11 == 0) {
             std::vector<double> sorted = mirror;
             std::sort(sorted.begin(), sorted.end());
-            EXPECT_DOUBLE_EQ(
-                cached.p99(),
-                pliant::util::sortedPercentile(sorted, 99.0));
-            EXPECT_DOUBLE_EQ(
-                cached.p50(),
-                pliant::util::sortedPercentile(sorted, 50.0));
+            EXPECT_DOUBLE_EQ(cached.p99(),
+                             pliant::util::sortedPercentile(sorted, 99.0));
+            EXPECT_DOUBLE_EQ(cached.p50(),
+                             pliant::util::sortedPercentile(sorted, 50.0));
             // Second read of the same generation hits the cache and
             // must return the identical value.
-            EXPECT_DOUBLE_EQ(
-                cached.p99(),
-                pliant::util::sortedPercentile(sorted, 99.0));
+            EXPECT_DOUBLE_EQ(cached.p99(),
+                             pliant::util::sortedPercentile(sorted, 99.0));
         }
     }
 }
@@ -253,6 +255,125 @@ TEST(SortedPercentileTest, MatchesWindowOnSortedInput)
     EXPECT_DOUBLE_EQ(pliant::util::sortedPercentile(v, 100.0), 40.0);
     EXPECT_EQ(pliant::util::sortedPercentile({}, 99.0), 0.0);
     EXPECT_DOUBLE_EQ(pliant::util::sortedPercentile({5.0}, 37.0), 5.0);
+}
+
+/**
+ * The reference the selection helper must match bit for bit: sort a
+ * copy, then read both percentiles off it.
+ */
+PercentilePair
+sortedReference(std::vector<double> v, double p_upper, double p_lower)
+{
+    std::sort(v.begin(), v.end());
+    PercentilePair ref;
+    ref.upper = sortedPercentile(v, p_upper);
+    ref.lower = sortedPercentile(v, p_lower);
+    return ref;
+}
+
+/**
+ * selectPercentiles on a copy of v equals the sorted reference at the
+ * monitor's (p99, p50) pair and at the rank extremes.
+ */
+void
+expectSelectionExact(const std::vector<double> &v, const std::string &what)
+{
+    const double uppers[] = {99.0, 100.0, 99.9, 75.0, 50.0};
+    const double lowers[] = {50.0, 0.0, 0.1, 25.0, 50.0};
+    for (std::size_t k = 0; k < std::size(uppers); ++k) {
+        std::vector<double> scratch = v;
+        const PercentilePair got =
+            selectPercentiles(scratch, uppers[k], lowers[k]);
+        const PercentilePair ref = sortedReference(v, uppers[k], lowers[k]);
+        EXPECT_EQ(got.upper, ref.upper)
+            << what << ", n " << v.size() << ", p" << uppers[k];
+        EXPECT_EQ(got.lower, ref.lower)
+            << what << ", n " << v.size() << ", p" << lowers[k];
+    }
+}
+
+/** Uniform double in [0, 1) from the top 53 bits of a draw. */
+double
+unitDraw(SplitMix64 &sm)
+{
+    return static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
+}
+
+/** A heavy-tailed latency-like draw: 100 / (1 - u)^0.7 microseconds. */
+double
+latencyDraw(SplitMix64 &sm)
+{
+    return 100.0 * std::pow(1.0 - unitDraw(sm), -0.7);
+}
+
+TEST(SelectPercentilesTest, EmptyAndSingleSample)
+{
+    std::vector<double> empty;
+    const PercentilePair none = selectPercentiles(empty, 99.0, 50.0);
+    EXPECT_EQ(none.upper, 0.0);
+    EXPECT_EQ(none.lower, 0.0);
+    std::vector<double> one = {42.5};
+    const PercentilePair single = selectPercentiles(one, 99.0, 50.0);
+    EXPECT_EQ(single.upper, 42.5);
+    EXPECT_EQ(single.lower, 42.5);
+}
+
+TEST(SelectPercentilesTest, MatchesSortBitwiseOnRandomWindows)
+{
+    // Window sizes around every edge the rank arithmetic has: the
+    // single sample, lo == hi clamps at n = 2 and 3, and both sides
+    // of the monitor's 4096-sample budget.
+    SplitMix64 sm(0x5E1EC7u);
+    for (std::size_t n : {1u, 2u, 3u, 100u, 4095u, 4096u}) {
+        for (int trial = 0; trial < 8; ++trial) {
+            std::vector<double> v(n);
+            for (double &x : v)
+                x = latencyDraw(sm);
+            expectSelectionExact(v, "random");
+        }
+    }
+}
+
+TEST(SelectPercentilesTest, MatchesSortBitwiseWithTies)
+{
+    SplitMix64 sm(0x71E5u);
+    for (std::size_t n : {2u, 3u, 100u, 4095u, 4096u}) {
+        // Heavy ties: a handful of distinct values, so the
+        // interpolation neighbours are often equal to the pivot.
+        std::vector<double> ties(n);
+        for (double &x : ties)
+            x = 250.0 + 10.0 * static_cast<double>(sm.next() % 4);
+        // All equal: every order statistic is the same value.
+        const std::vector<double> flat(n, 1234.5);
+        expectSelectionExact(ties, "ties");
+        expectSelectionExact(flat, "all-equal");
+    }
+}
+
+TEST(SelectPercentilesTest, MatchesSortBitwiseOnAnOverflowedReservoir)
+{
+    // A window that overflowed the monitor's 4096-sample budget: the
+    // reservoir's replacement draws leave it in arbitrary order.
+    SplitMix64 sm(0xB0D6E7u);
+    Rng rng(11);
+    Reservoir<Rng> window(4096);
+    for (int i = 0; i < 50000; ++i)
+        window.add(latencyDraw(sm), rng);
+    ASSERT_EQ(window.data().size(), 4096u);
+    expectSelectionExact(window.data(), "reservoir");
+}
+
+TEST(SelectPercentilesTest, LowerReadAfterUpperOnSortedAndReversedInput)
+{
+    // Presorted and reversed windows are the worst cases for a
+    // careless partition; the p50 read follows the p99 read on the
+    // same (already partially reordered) buffer.
+    std::vector<double> asc(4096);
+    for (std::size_t i = 0; i < asc.size(); ++i)
+        asc[i] = static_cast<double>(i) * 0.5;
+    std::vector<double> desc(asc.rbegin(), asc.rend());
+    expectSelectionExact(asc, "ascending");
+    expectSelectionExact(desc, "descending");
 }
 
 TEST(P2QuantileTest, ExactBelowFiveSamples)
@@ -465,8 +586,7 @@ TEST(FiveNumberTest, EmptyIsZeros)
 
 TEST(FiveNumberTest, KnownValues)
 {
-    const FiveNumber f =
-        FiveNumber::of({1.0, 2.0, 3.0, 4.0, 5.0});
+    const FiveNumber f = FiveNumber::of({1.0, 2.0, 3.0, 4.0, 5.0});
     EXPECT_DOUBLE_EQ(f.min, 1.0);
     EXPECT_DOUBLE_EQ(f.q1, 2.0);
     EXPECT_DOUBLE_EQ(f.median, 3.0);
