@@ -22,7 +22,11 @@
  * obs-enabled pass per config (apps may finish before maxDuration,
  * and a cluster's engines are private). Both counts are
  * deterministic; ticks_per_sec and samples_per_sec divide them by the
- * best-of-N wall time.
+ * best-of-N wall time. The same pass's phase timers give each row its
+ * wall-time split (phase_prelude_s, phase_tenants_s, phase_tasks_s,
+ * phase_interval_s, summed over a cluster's nodes) and
+ * interval_share, the interval close's fraction of their sum; these
+ * are obs-on wall times, noisy like every timing field.
  *
  * Usage: perf_tick [--quick] [--reps N] [--out FILE]
  *                  [--fast-sampling]
@@ -83,6 +87,34 @@ workOf(const obs::MetricsSnapshot &snap)
     return {ticks ? ticks->count : 0, samples ? samples->count : 0};
 }
 
+/** Engine wall time per tick phase, in seconds (obs-on pass). */
+struct Phases
+{
+    double prelude = 0.0;
+    double tenants = 0.0;
+    double tasks = 0.0;
+    double interval = 0.0;
+
+    /** The interval close's share of the four phases. */
+    double intervalShare() const
+    {
+        const double total = prelude + tenants + tasks + interval;
+        return total > 0.0 ? interval / total : 0.0;
+    }
+};
+
+/** The phase timers of an obs-enabled run's folded snapshot. */
+Phases
+phasesOf(const obs::MetricsSnapshot &snap)
+{
+    const auto total = [&](const char *name) {
+        const obs::MetricValue *v = snap.find(name);
+        return v ? v->stat.sum() : 0.0;
+    };
+    return {total("phase.prelude_wall_s"), total("phase.tenants_wall_s"),
+            total("phase.tasks_wall_s"), total("phase.interval_wall_s")};
+}
+
 /** Wall-time measurement of one config set: best of `reps` runs. */
 struct Measurement
 {
@@ -90,6 +122,7 @@ struct Measurement
     std::string description;
     double wallSeconds = 0.0;
     Work work;
+    Phases phases;
     bool fastSampling = false;
 
     double perSec(std::uint64_t count) const
@@ -112,8 +145,8 @@ now()
 
 /**
  * Single-engine config set, timed with the registry off. The work
- * comes from one untimed obs-enabled run (the registry leaves
- * simulated outputs unchanged).
+ * and the phase split come from one untimed obs-enabled run (the
+ * registry leaves simulated outputs unchanged).
  */
 Measurement
 runEngineSet(const std::string &name, const std::string &description,
@@ -125,7 +158,9 @@ runEngineSet(const std::string &name, const std::string &description,
     m.fastSampling = cfg.fastSampling;
     colo::ColoConfig counted = cfg;
     counted.observability.metrics = true;
-    m.work = workOf(colo::Engine(counted).run().metrics);
+    const obs::MetricsSnapshot snap = colo::Engine(counted).run().metrics;
+    m.work = workOf(snap);
+    m.phases = phasesOf(snap);
     for (int r = 0; r < reps; ++r) {
         colo::Engine engine(cfg);
         const double t0 = now();
@@ -149,7 +184,10 @@ runClusterSet(const std::string &name,
     m.fastSampling = cfg.fastSampling;
     cluster::ClusterConfig counted = cfg;
     counted.observability.metrics = true;
-    m.work = workOf(cluster::Cluster(counted).run().metrics);
+    const obs::MetricsSnapshot snap =
+        cluster::Cluster(counted).run().metrics;
+    m.work = workOf(snap);
+    m.phases = phasesOf(snap);
     for (int r = 0; r < reps; ++r) {
         cluster::Cluster c(cfg);
         const double t0 = now();
@@ -268,7 +306,12 @@ writeJson(const std::string &path,
             << "      \"ticks\": " << m.work.ticks << ",\n"
             << "      \"samples\": " << m.work.samples << ",\n"
             << "      \"ticks_per_sec\": " << m.ticksPerSec() << ",\n"
-            << "      \"samples_per_sec\": " << m.samplesPerSec() << "\n"
+            << "      \"samples_per_sec\": " << m.samplesPerSec() << ",\n"
+            << "      \"phase_prelude_s\": " << m.phases.prelude << ",\n"
+            << "      \"phase_tenants_s\": " << m.phases.tenants << ",\n"
+            << "      \"phase_tasks_s\": " << m.phases.tasks << ",\n"
+            << "      \"phase_interval_s\": " << m.phases.interval << ",\n"
+            << "      \"interval_share\": " << m.phases.intervalShare() << "\n"
             << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

@@ -8,10 +8,11 @@ simulation field changing — the work counts (ticks, samples) and,
 for fig_scale, the cluster rollups (steady_p99_us, worst_ratio) and
 the thread-invariance bit (identical_to_serial), which are pure
 simulation outputs and must not move between machines. Wall-clock
-fields (wall_s, ticks_per_sec, samples_per_sec, peak_rss_mb) are
-noisy on shared runners, so they only produce a warning line
-showing the ratio — the perf trajectory artifact is where timing
-history lives.
+fields (wall_s, ticks_per_sec, samples_per_sec, peak_rss_mb, and
+perf_tick's per-phase split phase_prelude_s, phase_tenants_s,
+phase_tasks_s, phase_interval_s, interval_share) are noisy on shared
+runners, so they only produce a warning line showing the ratio — the
+perf trajectory artifact is where timing history lives.
 
 Also validates metrics exports (perf_tick --metrics-summary writes
 metrics.json, a wrapper with one embedded pliant-metrics-v1 export
@@ -32,6 +33,11 @@ WALL_CLOCK_FIELDS = {
     "ticks_per_sec",
     "samples_per_sec",
     "peak_rss_mb",
+    "phase_prelude_s",
+    "phase_tenants_s",
+    "phase_tasks_s",
+    "phase_interval_s",
+    "interval_share",
 }
 DETERMINISTIC_FIELDS = {
     "ticks",

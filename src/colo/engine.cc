@@ -52,23 +52,13 @@ class Engine::ServerActuator : public core::Actuator
     }
 
     /** Service that receives newly reclaimed cores. */
-    void
-    setFocusService(std::size_t s)
-    {
-        focus = s;
-    }
+    void setFocusService(std::size_t s) { focus = s; }
 
     bool growServicePartition() override { return part.grow(); }
     bool shrinkServicePartition() override { return part.shrink(); }
-    int servicePartitionWays() const override
-    {
-        return part.serviceWays();
-    }
+    int servicePartitionWays() const override { return part.serviceWays(); }
 
-    int taskCount() const override
-    {
-        return static_cast<int>(tasks.size());
-    }
+    int taskCount() const override { return static_cast<int>(tasks.size()); }
 
     bool taskFinished(int t) const override
     {
@@ -135,8 +125,8 @@ class Engine::ServerActuator : public core::Actuator
         const auto &cur = prof.variant(task.variantIndex());
         const double llc_drop =
             prof.precisePressure.llcMb * (cur.llcScale - most.llcScale);
-        const double bw_drop = prof.precisePressure.membwGbs *
-                               (cur.membwScale - most.membwScale);
+        const double bw_drop =
+            prof.precisePressure.membwGbs * (cur.membwScale - most.membwScale);
         return std::max(llc_drop + bw_drop, 0.0);
     }
 
@@ -160,11 +150,7 @@ class Engine::ServerActuator : public core::Actuator
     }
 
   private:
-    static std::size_t
-    idx(int t)
-    {
-        return static_cast<std::size_t>(t);
-    }
+    static std::size_t idx(int t) { return static_cast<std::size_t>(t); }
 
     std::vector<approx::ApproxTask> &tasks;
     std::vector<Tenant> &tenants;
@@ -180,8 +166,7 @@ Engine::fairShare(const server::ServerSpec &spec, int n_apps)
 }
 
 int
-Engine::fairShare(const server::ServerSpec &spec, int n_apps,
-                  int n_services)
+Engine::fairShare(const server::ServerSpec &spec, int n_apps, int n_services)
 {
     return std::max(1, spec.usableCores() / (n_apps + n_services));
 }
@@ -196,8 +181,7 @@ validateAppList(const std::vector<std::string> &apps,
                 util::fatal("duplicate app '", apps[i],
                             "' in colocation config: each approximate "
                             "application may appear once");
-    if (!initial_variants.empty() &&
-        initial_variants.size() != apps.size())
+    if (!initial_variants.empty() && initial_variants.size() != apps.size())
         util::fatal("initialVariants has ", initial_variants.size(),
                     " entries for ", apps.size(),
                     " apps: the list must be empty or parallel to "
@@ -237,8 +221,7 @@ validateConfig(const ColoConfig &cfg)
         validateScenario(specs[i].scenario, specs[i].resolvedName());
         for (std::size_t j = i + 1; j < specs.size(); ++j)
             if (specs[i].resolvedName() == specs[j].resolvedName())
-                util::fatal("duplicate service '",
-                            specs[i].resolvedName(),
+                util::fatal("duplicate service '", specs[i].resolvedName(),
                             "' in colocation config: give same-kind "
                             "tenants distinct instance names");
     }
@@ -275,8 +258,8 @@ validateConfig(const ColoConfig &cfg)
     const int fair = Engine::fairShare(cfg.spec, n_apps, n_services);
     const int service_cores = cfg.spec.usableCores() - n_apps * fair;
     if (service_cores < n_services)
-        util::fatal("config leaves ", service_cores,
-                    " fair cores for ", n_services,
+        util::fatal("config leaves ", service_cores, " fair cores for ",
+                    n_services,
                     " interactive service(s): reduce the number of "
                     "colocated apps or services (usable cores: ",
                     cfg.spec.usableCores(), ")");
@@ -284,8 +267,8 @@ validateConfig(const ColoConfig &cfg)
 }
 
 Engine::Engine(ColoConfig config)
-    : cfg(std::move(config)), interference(cfg.spec),
-      partition(cfg.spec, 0), clock(cfg.tick)
+    : cfg(std::move(config)), interference(cfg.spec), partition(cfg.spec, 0),
+      clock(cfg.tick)
 {
     const std::vector<ServiceSpec> specs = validateConfig(cfg);
 
@@ -297,8 +280,7 @@ Engine::Engine(ColoConfig config)
     // migrant would inherit usableCores/n_services, i.e. the whole
     // app-side machine.
     appFairCores = fairShare(cfg.spec, std::max(n_apps, 1), n_services);
-    const int service_cores =
-        cfg.spec.usableCores() - n_apps * appFairCores;
+    const int service_cores = cfg.spec.usableCores() - n_apps * appFairCores;
 
     const int base_cores = service_cores / n_services;
     const int extra = service_cores % n_services;
@@ -308,8 +290,7 @@ Engine::Engine(ColoConfig config)
         t.spec = specs[i];
         t.fairCores = base_cores + (static_cast<int>(i) < extra ? 1 : 0);
 
-        services::ServiceConfig scfg =
-            services::defaultConfig(t.spec.kind);
+        services::ServiceConfig scfg = services::defaultConfig(t.spec.kind);
         scfg.name = t.spec.resolvedName();
         scfg.fairCores = t.fairCores;
         scfg.fastSampling = cfg.fastSampling;
@@ -347,21 +328,20 @@ Engine::Engine(ColoConfig config)
             tasks.back().switchVariant(cfg.initialVariants[i]);
     }
 
-    actuator =
-        std::make_unique<ServerActuator>(tasks, tenants, partition);
+    actuator = std::make_unique<ServerActuator>(tasks, tenants, partition);
     if (cfg.runtime == core::RuntimeKind::Pliant) {
         core::RuntimeParams rp;
         rp.slackThreshold = cfg.slackThreshold;
         rp.arbiter = cfg.arbiter;
         rp.enableCachePartitioning = cfg.enableCachePartitioning;
-        runtime = std::make_unique<core::PliantRuntime>(
-            *actuator, rp, cfg.seed ^ 0x91);
+        runtime = std::make_unique<core::PliantRuntime>(*actuator, rp,
+                                                        cfg.seed ^ 0x91);
     } else if (cfg.runtime == core::RuntimeKind::Learned) {
         core::LearnedParams lp;
         lp.slackThreshold = cfg.slackThreshold;
         lp.vectorConditioned = cfg.learnedVector;
-        runtime = std::make_unique<core::LearnedRuntime>(
-            *actuator, lp, cfg.seed ^ 0x91);
+        runtime = std::make_unique<core::LearnedRuntime>(*actuator, lp,
+                                                         cfg.seed ^ 0x91);
     } else {
         runtime = std::make_unique<core::PreciseRuntime>();
     }
@@ -405,14 +385,12 @@ Engine::Engine(ColoConfig config)
         for (int k = 0; k < 7; ++k)
             mid.decisions[k] = metrics->counter(
                 "engine.decision." +
-                core::decisionName(
-                    static_cast<core::Decision::Kind>(k)));
+                core::decisionName(static_cast<core::Decision::Kind>(k)));
         mid.actuations = metrics->counter("engine.actuations");
         mid.qosMet = metrics->counter("engine.qos_met_intervals");
-        mid.qosViolated =
-            metrics->counter("engine.qos_violated_intervals");
-        mid.intervalP99Hist = metrics->histogram(
-            "engine.interval_p99_us_hist", 10.0, 1.25, 48);
+        mid.qosViolated = metrics->counter("engine.qos_violated_intervals");
+        mid.intervalP99Hist =
+            metrics->histogram("engine.interval_p99_us_hist", 10.0, 1.25, 48);
         mid.intervalP99Stat = metrics->stat("engine.interval_p99_us");
         mid.shedFraction = metrics->stat("admission.shed_fraction");
         mid.queueDelay = metrics->stat("admission.queue_delay_us");
@@ -420,14 +398,14 @@ Engine::Engine(ColoConfig config)
         mid.gateReleases = metrics->gauge("admission.gate_releases");
         mid.budgetQuality = metrics->stat("budget.quality_used");
         mid.budgetSlices = metrics->counter("budget.slice_installs");
-        mid.phasePrelude = metrics->stat("phase.prelude_wall_s",
-                                         obs::Stability::WallTime);
-        mid.phaseTenants = metrics->stat("phase.tenants_wall_s",
-                                         obs::Stability::WallTime);
-        mid.phaseTasks = metrics->stat("phase.tasks_wall_s",
-                                       obs::Stability::WallTime);
-        mid.phaseInterval = metrics->stat("phase.interval_wall_s",
-                                          obs::Stability::WallTime);
+        mid.phasePrelude =
+            metrics->stat("phase.prelude_wall_s", obs::Stability::WallTime);
+        mid.phaseTenants =
+            metrics->stat("phase.tenants_wall_s", obs::Stability::WallTime);
+        mid.phaseTasks =
+            metrics->stat("phase.tasks_wall_s", obs::Stability::WallTime);
+        mid.phaseInterval =
+            metrics->stat("phase.interval_wall_s", obs::Stability::WallTime);
         metrics->freeze();
         partial.obsEnabled = true;
     }
@@ -549,9 +527,8 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
         // Phase wall timers: steady_clock is read only when someone
         // consumes the readings (metrics or opt-in phase spans), so
         // the disabled path executes exactly the pre-obs loop.
-        const bool time_phases =
-            metrics != nullptr ||
-            (tracer && cfg.observability.traceTickPhases);
+        const bool time_phases = metrics != nullptr ||
+                                 (tracer && cfg.observability.traceTickPhases);
         std::chrono::steady_clock::time_point tw0, tw1, tw2;
         if (time_phases)
             tw0 = std::chrono::steady_clock::now();
@@ -606,10 +583,9 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             if (ten.admission) {
                 const double capacity =
                     static_cast<double>(ten.service->cores()) /
-                    static_cast<double>(ten.fairCores) /
-                    inflationBuf[s];
-                ten.admOut = ten.admission->tick(ten.rawLoad,
-                                                 capacity, cfg.tick);
+                    static_cast<double>(ten.fairCores) / inflationBuf[s];
+                ten.admOut =
+                    ten.admission->tick(ten.rawLoad, capacity, cfg.tick);
                 ten.service->setBaseLoad(ten.admOut.dispatchedLoad);
             }
 
@@ -662,11 +638,11 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             // tick's simulated time) with the measured wall time in
             // args, so the trace layout stays deterministic.
             if (tracer && cfg.observability.traceTickPhases) {
-                tracer->begin(tracePid, 2, "tick.prelude",
-                              tick_start, prelude_s * 1e6);
+                tracer->begin(tracePid, 2, "tick.prelude", tick_start,
+                              prelude_s * 1e6);
                 tracer->end(tracePid, 2, "tick.prelude", tick_start);
-                tracer->begin(tracePid, 2, "tick.tenants",
-                              tick_start, tenants_s * 1e6);
+                tracer->begin(tracePid, 2, "tick.tenants", tick_start,
+                              tenants_s * 1e6);
                 tracer->end(tracePid, 2, "tick.tenants", tick_start);
                 tracer->begin(tracePid, 2, "tick.tasks", tick_start,
                               tasks_s * 1e6);
@@ -697,16 +673,20 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                     reports[s].queueDelayUs = stats.meanQueueDelayUs;
                     reports[s].batchSize = stats.meanBatchSize;
                 }
-                if (reports[s].interval.p99Us <= reports[s].qosUs)
+                // One QoS-met verdict per tenant and interval feeds
+                // both the rollup count and the exported counters.
+                const bool met = reports[s].interval.p99Us <= reports[s].qosUs;
+                if (met)
                     ++ten.qosMetIntervals;
+                if (metrics)
+                    metrics->add(met ? mid.qosMet : mid.qosViolated);
                 if (reports[s].ratio() > worst) {
                     worst = reports[s].ratio();
                     focus = s;
                 }
             }
             actuator->setFocusService(focus);
-            const core::Decision decision =
-                runtime->onInterval(reports);
+            const core::Decision decision = runtime->onInterval(reports);
 
             // Feed the QoS picture back to the admission layer so
             // the QoS-guided shed policy can coordinate with the
@@ -723,8 +703,8 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                             floor = r.predictedRatio;
                             break;
                         }
-                    tenants[s].admission->onQosFeedback(
-                        reports[s].ratio(), floor);
+                    tenants[s].admission->onQosFeedback(reports[s].ratio(),
+                                                        floor);
                 }
             }
 
@@ -734,25 +714,23 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             tp.loadFraction = tenants[0].lastLoad;
             tp.services.reserve(tenants.size());
             for (std::size_t s = 0; s < tenants.size(); ++s)
-                tp.services.push_back({reports[s].interval.p99Us,
-                                       tenants[s].lastLoad,
-                                       reports[s].shedFraction,
-                                       reports[s].queueDelayUs});
+                tp.services.push_back(
+                    {reports[s].interval.p99Us, tenants[s].lastLoad,
+                     reports[s].shedFraction, reports[s].queueDelayUs});
             tp.partitionWays = partition.serviceWays();
             tp.decision = decision;
             if (budgetActive) {
                 tp.budgetQualityUsed = qualityInUse();
                 for (const auto &report : reports)
-                    tp.budgetShedUsed = std::max(
-                        tp.budgetShedUsed, report.shedFraction);
+                    tp.budgetShedUsed =
+                        std::max(tp.budgetShedUsed, report.shedFraction);
                 tp.budgetQualityCap = qualitySliceCap;
                 tp.budgetShedCap = shedSliceCap;
             }
             int total_reclaimed = 0;
             for (std::size_t i = 0; i < tasks.size(); ++i) {
                 tp.variantOf.push_back(tasks[i].variantIndex());
-                const int reclaimed =
-                    tasks[i].fairCores() - tasks[i].cores();
+                const int reclaimed = tasks[i].fairCores() - tasks[i].cores();
                 tp.reclaimed.push_back(reclaimed);
                 maxReclaimed[i] = std::max(maxReclaimed[i], reclaimed);
                 total_reclaimed += reclaimed;
@@ -775,8 +753,7 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                     acc.post.add(p99);
                 }
             }
-            maxTotalReclaimed =
-                std::max(maxTotalReclaimed, total_reclaimed);
+            maxTotalReclaimed = std::max(maxTotalReclaimed, total_reclaimed);
             if (post_warmup)
                 reclaimTotalsPost.add(total_reclaimed);
             // Budget fields are zero when no slice is active, exactly
@@ -798,15 +775,10 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 metrics->add(mid.decisions[static_cast<int>(decision.kind)]);
                 if (decision.kind != core::Decision::Kind::None)
                     metrics->add(mid.actuations);
-                for (std::size_t s = 0; s < tenants.size(); ++s) {
-                    const bool met = reports[s].interval.p99Us <=
-                                     reports[s].qosUs;
-                    metrics->add(met ? mid.qosMet : mid.qosViolated);
-                    if (cfg.admission.enabled) {
-                        metrics->record(mid.shedFraction,
-                                        reports[s].shedFraction);
-                        metrics->record(mid.queueDelay,
-                                        reports[s].queueDelayUs);
+                if (cfg.admission.enabled) {
+                    for (const auto &report : reports) {
+                        metrics->record(mid.shedFraction, report.shedFraction);
+                        metrics->record(mid.queueDelay, report.queueDelayUs);
                     }
                 }
                 metrics->histAdd(mid.intervalP99Hist,
@@ -814,13 +786,11 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 metrics->record(mid.intervalP99Stat,
                                 reports[0].interval.p99Us);
                 if (budgetActive)
-                    metrics->record(mid.budgetQuality,
-                                    tp.budgetQualityUsed);
-                metrics->record(
-                    mid.phaseInterval,
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - iw0)
-                        .count());
+                    metrics->record(mid.budgetQuality, tp.budgetQualityUsed);
+                metrics->record(mid.phaseInterval,
+                                std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - iw0)
+                                    .count());
             }
             if (tracer) {
                 // The interval span is emitted whole at the close:
@@ -835,13 +805,11 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 }
                 if (cfg.admission.enabled) {
                     for (std::size_t s = 0; s < tenants.size(); ++s) {
-                        const bool armed =
-                            tenants[s].admission->gateArmed();
+                        const bool armed = tenants[s].admission->gateArmed();
                         if (armed != gateWasArmed[s])
                             tracer->instant(tracePid, 1,
-                                            armed
-                                                ? "shed-gate-arm"
-                                                : "shed-gate-release",
+                                            armed ? "shed-gate-arm"
+                                                  : "shed-gate-release",
                                             now);
                         gateWasArmed[s] = armed;
                     }
@@ -862,8 +830,7 @@ approx::TaskState
 Engine::detachApp(std::size_t i)
 {
     if (i >= tasks.size())
-        util::panic("detachApp(", i, ") with ", tasks.size(),
-                    " tasks");
+        util::panic("detachApp(", i, ") with ", tasks.size(), " tasks");
     // Settle the app's reclaimed-core debt: the services hand back
     // every core they took from it, so this node's service/task
     // ledger balances before the app leaves.
@@ -877,8 +844,7 @@ Engine::detachApp(std::size_t i)
     runtime->exportModel(static_cast<int>(i), state);
     tasks.erase(tasks.begin() + static_cast<std::ptrdiff_t>(i));
     profiles.erase(profiles.begin() + static_cast<std::ptrdiff_t>(i));
-    maxReclaimed.erase(maxReclaimed.begin() +
-                       static_cast<std::ptrdiff_t>(i));
+    maxReclaimed.erase(maxReclaimed.begin() + static_cast<std::ptrdiff_t>(i));
     taskPressure.resize(tasks.size());
     runtime->onTaskRemoved(static_cast<int>(i));
     recordRoster();
@@ -895,8 +861,7 @@ Engine::attachApp(const approx::TaskState &state)
     approx::AppProfile prof = approx::findProfile(state.app);
     if (cfg.runtime == core::RuntimeKind::Precise)
         prof.dynrecOverhead = 0.0;
-    profiles.push_back(
-        std::make_unique<approx::AppProfile>(std::move(prof)));
+    profiles.push_back(std::make_unique<approx::AppProfile>(std::move(prof)));
     tasks.emplace_back(*profiles.back(), appFairCores, state);
     maxReclaimed.push_back(0);
     taskPressure.resize(tasks.size());
@@ -933,8 +898,7 @@ Engine::qualityInUse() const
     double in_use = 0.0;
     for (const auto &task : tasks)
         if (!task.finished())
-            in_use +=
-                task.profile().variant(task.variantIndex()).inaccuracy;
+            in_use += task.profile().variant(task.variantIndex()).inaccuracy;
     return in_use;
 }
 
@@ -946,9 +910,8 @@ Engine::qualityHeadroom() const
         if (task.finished())
             continue;
         const auto &prof = task.profile();
-        headroom +=
-            prof.variant(prof.mostApproxIndex()).inaccuracy -
-            prof.variant(task.variantIndex()).inaccuracy;
+        headroom += prof.variant(prof.mostApproxIndex()).inaccuracy -
+                    prof.variant(task.variantIndex()).inaccuracy;
     }
     return std::max(headroom, 0.0);
 }
@@ -981,25 +944,22 @@ Engine::finalize()
         out.steadySketch = ten.steady;
         out.intervalP99Stats = svcAccum[s].post;
         if (ten.admission) {
-            const admission::AdmissionStats life =
-                ten.admission->lifetime();
+            const admission::AdmissionStats life = ten.admission->lifetime();
             out.shedFraction = life.shedFraction();
             out.meanQueueDelayUs = life.meanQueueDelayUs;
             out.meanBatchSize = life.meanBatchSize;
         }
 
         const SvcAccum &acc = svcAccum[s];
-        const double sum_p99 =
-            acc.nPost > 0 ? acc.sumP99Post : acc.sumP99All;
-        const std::size_t n_intervals =
-            acc.nPost > 0 ? acc.nPost : acc.nAll;
-        out.meanIntervalP99Us = n_intervals == 0
-            ? 0.0
-            : sum_p99 / static_cast<double>(n_intervals);
+        const double sum_p99 = acc.nPost > 0 ? acc.sumP99Post : acc.sumP99All;
+        const std::size_t n_intervals = acc.nPost > 0 ? acc.nPost : acc.nAll;
+        out.meanIntervalP99Us =
+            n_intervals == 0 ? 0.0
+                             : sum_p99 / static_cast<double>(n_intervals);
         out.qosMetFraction = total_intervals == 0
-            ? 0.0
-            : static_cast<double>(ten.qosMetIntervals) /
-                  static_cast<double>(total_intervals);
+                                 ? 0.0
+                                 : static_cast<double>(ten.qosMetIntervals) /
+                                       static_cast<double>(total_intervals);
         result.services.push_back(std::move(out));
     }
     result.overallP99Us = result.services[0].overallP99Us;
@@ -1013,26 +973,23 @@ Engine::finalize()
         // Budget rollups: post-warmup means of the interval samples
         // (whole-run fallback for very short runs, mirroring the
         // per-service p99 means), plus the caps in force at the end.
-        const double q_sum = budgetNPost > 0 ? budgetQualitySumPost
-                                             : budgetQualitySumAll;
+        const double q_sum =
+            budgetNPost > 0 ? budgetQualitySumPost : budgetQualitySumAll;
         const double s_sum =
             budgetNPost > 0 ? budgetShedSumPost : budgetShedSumAll;
         const std::size_t n_budget =
             budgetNPost > 0 ? budgetNPost : budgetNAll;
         if (n_budget > 0) {
-            result.budgetQualityUsed =
-                q_sum / static_cast<double>(n_budget);
-            result.budgetShedUsed =
-                s_sum / static_cast<double>(n_budget);
+            result.budgetQualityUsed = q_sum / static_cast<double>(n_budget);
+            result.budgetShedUsed = s_sum / static_cast<double>(n_budget);
         }
         result.budgetQualityCap = qualitySliceCap;
         result.budgetShedCap = shedSliceCap;
     }
-    result.maxPartitionWays =
-        std::max(result.maxPartitionWays, maxWaysSeen);
+    result.maxPartitionWays = std::max(result.maxPartitionWays, maxWaysSeen);
     if (reclaimTotalsPost.count() > 0)
-        result.typicalCoresReclaimed = static_cast<int>(
-            std::lround(reclaimTotalsPost.percentile(60.0)));
+        result.typicalCoresReclaimed =
+            static_cast<int>(std::lround(reclaimTotalsPost.percentile(60.0)));
 
     for (std::size_t i = 0; i < tasks.size(); ++i) {
         AppOutcome out;
@@ -1054,8 +1011,7 @@ Engine::finalize()
             if (!ten.admission)
                 continue;
             arms += static_cast<double>(ten.admission->gateArms());
-            releases +=
-                static_cast<double>(ten.admission->gateReleases());
+            releases += static_cast<double>(ten.admission->gateReleases());
         }
         metrics->set(mid.gateArms, arms);
         metrics->set(mid.gateReleases, releases);
@@ -1066,20 +1022,17 @@ Engine::finalize()
 
 ColoResult
 runColocation(services::ServiceKind service,
-              const std::vector<std::string> &apps,
-              core::RuntimeKind runtime, std::uint64_t seed,
-              double load_fraction)
+              const std::vector<std::string> &apps, core::RuntimeKind runtime,
+              std::uint64_t seed, double load_fraction)
 {
-    Engine engine(
-        makeColoConfig(service, apps, runtime, seed, load_fraction));
+    Engine engine(makeColoConfig(service, apps, runtime, seed, load_fraction));
     return engine.run();
 }
 
 ColoConfig
 makeColoConfig(services::ServiceKind service,
-               const std::vector<std::string> &apps,
-               core::RuntimeKind runtime, std::uint64_t seed,
-               double load_fraction)
+               const std::vector<std::string> &apps, core::RuntimeKind runtime,
+               std::uint64_t seed, double load_fraction)
 {
     ColoConfig cfg;
     cfg.service = service;
@@ -1108,11 +1061,10 @@ runColocations(const std::vector<ColoConfig> &configs,
                const driver::SweepOptions &sweep_opts)
 {
     driver::Sweep sweep(sweep_opts);
-    util::inform("colo: running ", configs.size(),
-                 " experiments on ", sweep.threadCount(), " threads");
+    util::inform("colo: running ", configs.size(), " experiments on ",
+                 sweep.threadCount(), " threads");
     return sweep.mapItems(
-        configs,
-        [](const ColoConfig &cfg, const driver::TaskContext &) {
+        configs, [](const ColoConfig &cfg, const driver::TaskContext &) {
             // The config's own seed governs the experiment; the task
             // seed is deliberately unused so a batch equals the same
             // configs run one by one.

@@ -17,23 +17,12 @@ PerformanceMonitor::closeInterval()
 {
     IntervalReport rep;
     rep.samples = window.size();
-    if (!window.empty()) {
-        // The mean sums in window order, before selection reorders
-        // the window.
-        double sum = 0.0;
-        for (double l : window)
-            sum += l;
-        rep.meanUs = sum / static_cast<double>(window.size());
-        // The window dies with the interval, so select in place:
-        // p99 and p50 need only the order statistics at their
-        // interpolation ranks, which selection finds in O(n) where a
-        // sort pays O(n log n). The values are the ones a sort
-        // followed by util::sortedPercentile reads, bit for bit.
-        const util::PercentilePair tail =
-            util::selectPercentiles(window, 99.0, 50.0);
-        rep.p99Us = tail.upper;
-        rep.p50Us = tail.lower;
-    }
+    // The window dies with the interval, so select in place: the p99
+    // needs only the order statistics at its interpolation ranks,
+    // the few largest samples, which a top-k heap finds in one pass
+    // where a sort pays O(n log n). The value is the one a sort
+    // followed by util::sortedPercentile reads, bit for bit.
+    rep.p99Us = util::selectHighPercentile(window, 99.0);
     window.clear();
     windowOffered = 0;
     return rep;

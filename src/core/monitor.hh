@@ -25,8 +25,6 @@ namespace core {
 struct IntervalReport
 {
     double p99Us = 0.0;
-    double p50Us = 0.0;
-    double meanUs = 0.0;
     std::size_t samples = 0;
 };
 
@@ -37,8 +35,9 @@ struct IntervalReport
  *
  * observe() is defined inline here: the engine feeds every sampled
  * latency through it inside its per-sample loop, so the call costs
- * no cross-translation-unit jump. closeInterval() reads the p99 and
- * p50 by selection (util::selectPercentiles), not by sorting.
+ * no cross-translation-unit jump. closeInterval() reads the p99 by
+ * in-place top-k selection (util::selectHighPercentile), not by
+ * sorting.
  */
 class PerformanceMonitor
 {

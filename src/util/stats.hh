@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -45,10 +46,11 @@ class RunningStats
         }
         const double delta = other.meanVal - meanVal;
         const std::size_t total = n + other.n;
-        meanVal += delta * static_cast<double>(other.n) /
-                   static_cast<double>(total);
+        meanVal +=
+            delta * static_cast<double>(other.n) / static_cast<double>(total);
         m2 += other.m2 + delta * delta * static_cast<double>(n) *
-              static_cast<double>(other.n) / static_cast<double>(total);
+                             static_cast<double>(other.n) /
+                             static_cast<double>(total);
         minVal = std::min(minVal, other.minVal);
         maxVal = std::max(maxVal, other.maxVal);
         sumVal += other.sumVal;
@@ -69,10 +71,7 @@ class RunningStats
     double max() const { return n ? maxVal : 0.0; }
 
     /** Coefficient of variation (0 when the mean is 0). */
-    double cv() const
-    {
-        return meanVal != 0.0 ? stddev() / meanVal : 0.0;
-    }
+    double cv() const { return meanVal != 0.0 ? stddev() / meanVal : 0.0; }
 
     void reset() { *this = RunningStats(); }
 
@@ -121,53 +120,52 @@ sortedPercentile(const std::vector<double> &sorted, double p)
     return sorted[r.lo] + r.frac * (sorted[r.hi] - sorted[r.lo]);
 }
 
-/** Two percentiles of one sample (see selectPercentiles). */
-struct PercentilePair
-{
-    double upper = 0.0;
-    double lower = 0.0;
-};
-
 /**
- * sortedPercentile() of a sorted copy of `v` at p_upper and p_lower
- * (p_lower <= p_upper), computed by selection instead of a sort, and
- * equal bit for bit.
+ * sortedPercentile() of a sorted copy of `v` at a high percentile p,
+ * computed by top-k selection in place instead of a sort, and equal
+ * bit for bit.
  *
  * Interpolation reads only the order statistics at ranks lo and
- * lo + 1. std::nth_element puts the rank-lo value at v[lo] with
- * everything after it >= v[lo], so the rank-(lo + 1) value is the
- * minimum of that tail. After the upper selection, v[0, lo_upper)
- * holds exactly the lo_upper smallest values, so the lower rank is
- * selected inside that prefix. The same ranks, values and
- * interpolation expression give the same doubles; values that
- * compare equal are interchangeable (the only equal-but-different
- * doubles are +0.0 and -0.0, which a sort does not order either).
- * O(n) on average against the sort's O(n log n). Reorders `v`;
- * returns zeros on an empty sample.
+ * lo + 1 (percentileRank, the ranks sortedPercentile uses). With
+ * k = n - lo, the rank-lo value is the smallest of the k largest
+ * values and the rank-(lo + 1) value the second smallest. A min-heap
+ * in v[0, k) that swaps its top for every larger value of v[k, n)
+ * ends holding exactly the k largest values, so the rank-lo value is
+ * its top and, when hi != lo, the rank-(lo + 1) value is the top
+ * after one pop. The same ranks, values and interpolation expression
+ * give the same doubles; values that compare equal are
+ * interchangeable (the only equal-but-different doubles are +0.0 and
+ * -0.0, which a sort does not order either). At p99 and n <= 4096,
+ * k <= 42: one pass over v plus O(log k) per heap swap, where a sort
+ * pays O(n log n). Exact at any p, but meant for high ones: k grows
+ * as p falls. Reorders `v`; returns 0 on an empty sample.
  */
-inline PercentilePair
-selectPercentiles(std::vector<double> &v, double p_upper, double p_lower)
+inline double
+selectHighPercentile(std::vector<double> &v, double p)
 {
     if (v.empty())
-        return {};
+        return 0.0;
     if (v.size() == 1)
-        return {v.front(), v.front()};
+        return v.front();
+    const PercentileRank r = percentileRank(v.size(), p);
     const auto first = v.begin();
-    const auto read = [&](const PercentileRank &r) {
-        const double lo = first[r.lo];
-        double hi = lo;
-        if (r.hi != r.lo)
-            hi = *std::min_element(first + r.lo + 1, v.end());
-        return lo + r.frac * (hi - lo);
-    };
-    const PercentileRank upper = percentileRank(v.size(), p_upper);
-    std::nth_element(first, first + upper.lo, v.end());
-    const PercentileRank lower = percentileRank(v.size(), p_lower);
-    PercentilePair out;
-    out.upper = read(upper);
-    std::nth_element(first, first + lower.lo, first + upper.lo);
-    out.lower = read(lower);
-    return out;
+    const auto heap_end = first + static_cast<std::ptrdiff_t>(v.size() - r.lo);
+    const std::greater<double> min_heap;
+    std::make_heap(first, heap_end, min_heap);
+    for (auto it = heap_end; it != v.end(); ++it) {
+        if (*it > *first) {
+            std::pop_heap(first, heap_end, min_heap);
+            heap_end[-1] = *it;
+            std::push_heap(first, heap_end, min_heap);
+        }
+    }
+    const double lo = *first;
+    double hi = lo;
+    if (r.hi != r.lo) {
+        std::pop_heap(first, heap_end, min_heap);
+        hi = *first;
+    }
+    return lo + r.frac * (hi - lo);
 }
 
 /**
@@ -179,8 +177,8 @@ selectPercentiles(std::vector<double> &v, double p_upper, double p_lower)
  * Percentile queries sort a cached copy once per window generation:
  * any number of percentile()/p99()/p50() calls between adds reuse
  * the same sorted array, and the next add() invalidates it. A
- * caller that owns a throwaway window and needs only a couple of
- * percentiles should use selectPercentiles() instead.
+ * caller that owns a throwaway window and needs only one high
+ * percentile should use selectHighPercentile() instead.
  */
 class PercentileWindow
 {
@@ -297,8 +295,7 @@ class P2Quantile
             if (up || down) {
                 const int sign = d >= 0 ? 1 : -1;
                 const double candidate = parabolic(i, sign);
-                if (heights[i - 1] < candidate &&
-                    candidate < heights[i + 1]) {
+                if (heights[i - 1] < candidate && candidate < heights[i + 1]) {
                     heights[i] = candidate;
                 } else {
                     heights[i] = linear(i, sign);
@@ -362,8 +359,7 @@ class P2Quantile
         heights[0] = std::min(heights[0], other.heights[0]);
         heights[4] = std::max(heights[4], other.heights[4]);
         for (int i = 1; i <= 3; ++i)
-            heights[i] =
-                (wa * heights[i] + wb * other.heights[i]) / (wa + wb);
+            heights[i] = (wa * heights[i] + wb * other.heights[i]) / (wa + wb);
         count_ += other.count_;
         // Rebuild marker bookkeeping at the ideal P² positions for
         // the combined count (closed forms of init + n-5 increments),
@@ -407,18 +403,18 @@ class P2Quantile
     {
         const double d = static_cast<double>(sign);
         return heights[i] + d / (positions[i + 1] - positions[i - 1]) *
-            ((positions[i] - positions[i - 1] + d) *
-                 (heights[i + 1] - heights[i]) /
-                 (positions[i + 1] - positions[i]) +
-             (positions[i + 1] - positions[i] - d) *
-                 (heights[i] - heights[i - 1]) /
-                 (positions[i] - positions[i - 1]));
+                                ((positions[i] - positions[i - 1] + d) *
+                                     (heights[i + 1] - heights[i]) /
+                                     (positions[i + 1] - positions[i]) +
+                                 (positions[i + 1] - positions[i] - d) *
+                                     (heights[i] - heights[i - 1]) /
+                                     (positions[i] - positions[i - 1]));
     }
 
     double linear(int i, int sign) const
     {
         return heights[i] + sign * (heights[i + sign] - heights[i]) /
-            (positions[i + sign] - positions[i]);
+                                (positions[i + sign] - positions[i]);
     }
 
     double q;
@@ -433,8 +429,7 @@ class P2Quantile
  * Fixed-capacity uniform reservoir sample, for distribution summaries
  * (violin plots) over long runs.
  */
-template <typename RngType>
-class Reservoir
+template <typename RngType> class Reservoir
 {
   public:
     explicit Reservoir(std::size_t capacity) : cap(capacity) {}

@@ -3,7 +3,8 @@
  * A warmed-up colo::Engine tick loop performs zero heap allocations,
  * with observability off and on and with an admission front-end —
  * the property the engine-owned hot-loop buffers and the frozen
- * metrics registry exist to provide.
+ * metrics registry exist to provide — and so does the monitor's
+ * interval close, which selects the p99 inside the window it owns.
  *
  * The file overrides the global allocation functions, so it must
  * stay its own test binary.
@@ -18,6 +19,8 @@
 
 #include "colo/builder.hh"
 #include "colo/engine.hh"
+#include "core/monitor.hh"
+#include "util/rng.hh"
 
 // ---------------------------------------------------------------------
 // Global allocation counter. Each *_test.cc builds into its own
@@ -223,6 +226,33 @@ TEST(TickAllocTest, WarmTickLoopStaysZeroAllocWithAdmission)
     // The front-end is engaged: the last closed interval saw queue
     // delay on mc-a's samples.
     EXPECT_GT(engine.lastReports().front().queueDelayUs, 0.0);
+}
+
+TEST(TickAllocTest, MonitorIntervalCloseIsAllocationFree)
+{
+    // The engine windows above cross no decision-interval close; this
+    // pins the close itself. 30,000 offered samples overflow the
+    // 4096-sample budget, so every interval runs reservoir
+    // replacement and then the in-place top-k selection over a full
+    // window. The window's capacity is reserved at construction.
+    core::PerformanceMonitor monitor(4096, 17);
+    util::SplitMix64 sm(0xC105Eu);
+
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    double p99_sum = 0.0;
+    for (int interval = 0; interval < 3; ++interval) {
+        for (int i = 0; i < 30000; ++i)
+            monitor.observe(100.0 + static_cast<double>(sm.next() % 5000));
+        const core::IntervalReport report = monitor.closeInterval();
+        EXPECT_EQ(report.samples, 4096u);
+        p99_sum += report.p99Us;
+    }
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+
+    EXPECT_EQ(after - before, 0U)
+        << "monitor observe + closeInterval allocated " << (after - before)
+        << " times over 3 overflowed intervals";
+    EXPECT_GT(p99_sum, 0.0);
 }
 
 } // namespace

@@ -37,8 +37,6 @@ TEST(MonitorTest, KnownDistributionP99)
     const IntervalReport r = m.closeInterval();
     EXPECT_EQ(r.samples, 1000u);
     EXPECT_NEAR(r.p99Us, 990.0, 2.0);
-    EXPECT_NEAR(r.p50Us, 500.0, 2.0);
-    EXPECT_NEAR(r.meanUs, 500.5, 1e-9);
 }
 
 TEST(MonitorTest, IntervalResetsWindow)
@@ -75,9 +73,9 @@ TEST(MonitorTest, IntervalTailEqualsSortedWindowBitwise)
 {
     // util::Reservoir runs the monitor's replacement rule on the
     // same Xoshiro stream, so it mirrors the monitor's window. The
-    // selection-based close must report exactly what sorting that
-    // window and interpolating would: under the budget, at it, and
-    // after reservoir replacement.
+    // selection-based close must report exactly the p99 that sorting
+    // that window and interpolating would: under the budget, at it,
+    // and after reservoir replacement.
     constexpr std::size_t kBudget = 4096;
     constexpr std::uint64_t kSeed = 21;
     pliant::util::SplitMix64 sm(0x3017u);
@@ -93,19 +91,12 @@ TEST(MonitorTest, IntervalTailEqualsSortedWindowBitwise)
             m.observe(latency);
             mirror.add(latency, mirror_rng);
         }
-        double sum = 0.0;
-        for (double x : mirror.data())
-            sum += x;
         std::vector<double> sorted = mirror.data();
         std::sort(sorted.begin(), sorted.end());
 
         const IntervalReport r = m.closeInterval();
         ASSERT_EQ(r.samples, std::min(offered, kBudget));
         EXPECT_EQ(r.p99Us, pliant::util::sortedPercentile(sorted, 99.0))
-            << "offered " << offered;
-        EXPECT_EQ(r.p50Us, pliant::util::sortedPercentile(sorted, 50.0))
-            << "offered " << offered;
-        EXPECT_EQ(r.meanUs, sum / static_cast<double>(sorted.size()))
             << "offered " << offered;
     }
 }

@@ -19,12 +19,11 @@ namespace {
 
 using pliant::util::FiveNumber;
 using pliant::util::P2Quantile;
-using pliant::util::PercentilePair;
 using pliant::util::PercentileWindow;
 using pliant::util::Reservoir;
 using pliant::util::Rng;
 using pliant::util::RunningStats;
-using pliant::util::selectPercentiles;
+using pliant::util::selectHighPercentile;
 using pliant::util::sortedPercentile;
 using pliant::util::SplitMix64;
 
@@ -259,36 +258,28 @@ TEST(SortedPercentileTest, MatchesWindowOnSortedInput)
 
 /**
  * The reference the selection helper must match bit for bit: sort a
- * copy, then read both percentiles off it.
+ * copy, then interpolate off it.
  */
-PercentilePair
-sortedReference(std::vector<double> v, double p_upper, double p_lower)
+double
+sortedReference(std::vector<double> v, double p)
 {
     std::sort(v.begin(), v.end());
-    PercentilePair ref;
-    ref.upper = sortedPercentile(v, p_upper);
-    ref.lower = sortedPercentile(v, p_lower);
-    return ref;
+    return sortedPercentile(v, p);
 }
 
 /**
- * selectPercentiles on a copy of v equals the sorted reference at the
- * monitor's (p99, p50) pair and at the rank extremes.
+ * selectHighPercentile on a copy of v equals the sorted reference at
+ * the monitor's p99, at p99.9 and p90 (top-k sizes other than p99's),
+ * and at the rank extremes, where the heap is one sample (p100) or
+ * the whole window (p0).
  */
 void
 expectSelectionExact(const std::vector<double> &v, const std::string &what)
 {
-    const double uppers[] = {99.0, 100.0, 99.9, 75.0, 50.0};
-    const double lowers[] = {50.0, 0.0, 0.1, 25.0, 50.0};
-    for (std::size_t k = 0; k < std::size(uppers); ++k) {
+    for (double p : {99.0, 99.9, 90.0, 100.0, 50.0, 0.0}) {
         std::vector<double> scratch = v;
-        const PercentilePair got =
-            selectPercentiles(scratch, uppers[k], lowers[k]);
-        const PercentilePair ref = sortedReference(v, uppers[k], lowers[k]);
-        EXPECT_EQ(got.upper, ref.upper)
-            << what << ", n " << v.size() << ", p" << uppers[k];
-        EXPECT_EQ(got.lower, ref.lower)
-            << what << ", n " << v.size() << ", p" << lowers[k];
+        EXPECT_EQ(selectHighPercentile(scratch, p), sortedReference(v, p))
+            << what << ", n " << v.size() << ", p" << p;
     }
 }
 
@@ -306,25 +297,24 @@ latencyDraw(SplitMix64 &sm)
     return 100.0 * std::pow(1.0 - unitDraw(sm), -0.7);
 }
 
-TEST(SelectPercentilesTest, EmptyAndSingleSample)
+TEST(SelectHighPercentileTest, EmptyAndSingleSample)
 {
     std::vector<double> empty;
-    const PercentilePair none = selectPercentiles(empty, 99.0, 50.0);
-    EXPECT_EQ(none.upper, 0.0);
-    EXPECT_EQ(none.lower, 0.0);
+    EXPECT_EQ(selectHighPercentile(empty, 99.0), 0.0);
     std::vector<double> one = {42.5};
-    const PercentilePair single = selectPercentiles(one, 99.0, 50.0);
-    EXPECT_EQ(single.upper, 42.5);
-    EXPECT_EQ(single.lower, 42.5);
+    EXPECT_EQ(selectHighPercentile(one, 99.0), 42.5);
+    EXPECT_EQ(selectHighPercentile(one, 0.0), 42.5);
 }
 
-TEST(SelectPercentilesTest, MatchesSortBitwiseOnRandomWindows)
+TEST(SelectHighPercentileTest, MatchesSortBitwiseOnRandomWindows)
 {
     // Window sizes around every edge the rank arithmetic has: the
-    // single sample, lo == hi clamps at n = 2 and 3, and both sides
+    // single sample, lo == hi clamps at n = 2 and 3, a p99 rank with
+    // and without a fractional part (100, 101), the first n where
+    // p99's heap reaches its 42-sample maximum (4002), and both sides
     // of the monitor's 4096-sample budget.
     SplitMix64 sm(0x5E1EC7u);
-    for (std::size_t n : {1u, 2u, 3u, 100u, 4095u, 4096u}) {
+    for (std::size_t n : {1u, 2u, 3u, 100u, 101u, 4002u, 4095u, 4096u}) {
         for (int trial = 0; trial < 8; ++trial) {
             std::vector<double> v(n);
             for (double &x : v)
@@ -334,12 +324,12 @@ TEST(SelectPercentilesTest, MatchesSortBitwiseOnRandomWindows)
     }
 }
 
-TEST(SelectPercentilesTest, MatchesSortBitwiseWithTies)
+TEST(SelectHighPercentileTest, MatchesSortBitwiseWithTies)
 {
     SplitMix64 sm(0x71E5u);
-    for (std::size_t n : {2u, 3u, 100u, 4095u, 4096u}) {
-        // Heavy ties: a handful of distinct values, so the
-        // interpolation neighbours are often equal to the pivot.
+    for (std::size_t n : {2u, 3u, 100u, 101u, 4002u, 4095u, 4096u}) {
+        // Heavy ties: a handful of distinct values, so the heap top
+        // and the values it is compared with are often equal.
         std::vector<double> ties(n);
         for (double &x : ties)
             x = 250.0 + 10.0 * static_cast<double>(sm.next() % 4);
@@ -350,7 +340,7 @@ TEST(SelectPercentilesTest, MatchesSortBitwiseWithTies)
     }
 }
 
-TEST(SelectPercentilesTest, MatchesSortBitwiseOnAnOverflowedReservoir)
+TEST(SelectHighPercentileTest, MatchesSortBitwiseOnAnOverflowedReservoir)
 {
     // A window that overflowed the monitor's 4096-sample budget: the
     // reservoir's replacement draws leave it in arbitrary order.
@@ -363,11 +353,10 @@ TEST(SelectPercentilesTest, MatchesSortBitwiseOnAnOverflowedReservoir)
     expectSelectionExact(window.data(), "reservoir");
 }
 
-TEST(SelectPercentilesTest, LowerReadAfterUpperOnSortedAndReversedInput)
+TEST(SelectHighPercentileTest, MatchesSortBitwiseOnSortedAndReversedInput)
 {
-    // Presorted and reversed windows are the worst cases for a
-    // careless partition; the p50 read follows the p99 read on the
-    // same (already partially reordered) buffer.
+    // Ascending input swaps the heap top on every scanned sample (the
+    // most heap work); descending input never does.
     std::vector<double> asc(4096);
     for (std::size_t i = 0; i < asc.size(); ++i)
         asc[i] = static_cast<double>(i) * 0.5;
