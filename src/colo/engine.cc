@@ -288,11 +288,10 @@ Engine::Engine(ColoConfig config)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         Tenant t;
         t.spec = specs[i];
-        t.fairCores = base_cores + (static_cast<int>(i) < extra ? 1 : 0);
 
         services::ServiceConfig scfg = services::defaultConfig(t.spec.kind);
         scfg.name = t.spec.resolvedName();
-        scfg.fairCores = t.fairCores;
+        scfg.fairCores = base_cores + (static_cast<int>(i) < extra ? 1 : 0);
         scfg.fastSampling = cfg.fastSampling;
         services::WorkloadConfig wl;
         wl.loadFraction = t.spec.scenario.loadAt(0);
@@ -357,13 +356,15 @@ Engine::Engine(ColoConfig config)
     svcPressure.resize(tenants.size());
     inflationBuf.assign(tenants.size(), 1.0);
     reports.resize(tenants.size());
-    svcAccum.resize(tenants.size());
     peerPressure.resize(tenants.size() - 1);
 
-    // Tenant names are fixed for the run; the per-interval fields of
-    // each report are overwritten at every interval close.
-    for (std::size_t s = 0; s < tenants.size(); ++s)
+    // Tenant names and QoS targets are fixed for the run; the
+    // per-interval fields of each report are overwritten at every
+    // interval close.
+    for (std::size_t s = 0; s < tenants.size(); ++s) {
         reports[s].name = tenants[s].service->name();
+        reports[s].qosUs = tenants[s].service->qosUs();
+    }
 
     partial.service = tenants[0].service->name();
     partial.runtime = runtime->name();
@@ -455,7 +456,7 @@ Engine::setTimelineSink(TimelineSink *new_sink)
 Engine::~Engine() = default;
 
 bool
-Engine::allFinished() const
+Engine::appsFinished() const
 {
     for (const auto &t : tasks)
         if (!t.finished())
@@ -464,15 +465,9 @@ Engine::allFinished() const
 }
 
 bool
-Engine::appsFinished() const
-{
-    return allFinished();
-}
-
-bool
 Engine::done() const
 {
-    return allFinished() || clock.now() >= cfg.maxDuration;
+    return appsFinished() || clock.now() >= cfg.maxDuration;
 }
 
 sim::Time
@@ -517,10 +512,10 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
     // stops at that tick, so chunked execution can never add ticks a
     // bare run() would not have executed.
     const bool stop_when_apps_finish =
-        !keep_services_running || !allFinished();
+        !keep_services_running || !appsFinished();
 
     while (clock.now() < stop) {
-        if (stop_when_apps_finish && allFinished())
+        if (stop_when_apps_finish && appsFinished())
             break;
         const sim::Time tick_start = clock.now();
 
@@ -583,7 +578,8 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             if (ten.admission) {
                 const double capacity =
                     static_cast<double>(ten.service->cores()) /
-                    static_cast<double>(ten.fairCores) / inflationBuf[s];
+                    static_cast<double>(ten.service->config().fairCores) /
+                    inflationBuf[s];
                 ten.admOut =
                     ten.admission->tick(ten.rawLoad, capacity, cfg.tick);
                 ten.service->setBaseLoad(ten.admOut.dispatchedLoad);
@@ -609,9 +605,6 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 for (double sample : ten.tickBuf.sampleUs)
                     feed(sample);
             }
-            ten.lastLoad = ten.tickBuf.offeredLoad;
-            if (metrics)
-                metrics->add(mid.samples, ten.tickBuf.sampleUs.size());
         }
 
         if (time_phases)
@@ -665,7 +658,6 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
             for (std::size_t s = 0; s < tenants.size(); ++s) {
                 auto &ten = tenants[s];
                 reports[s].interval = ten.monitor->closeInterval();
-                reports[s].qosUs = ten.service->qosUs();
                 if (ten.admission) {
                     const admission::AdmissionStats stats =
                         ten.admission->closeInterval();
@@ -673,13 +665,8 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                     reports[s].queueDelayUs = stats.meanQueueDelayUs;
                     reports[s].batchSize = stats.meanBatchSize;
                 }
-                // One QoS-met verdict per tenant and interval feeds
-                // both the rollup count and the exported counters.
-                const bool met = reports[s].interval.p99Us <= reports[s].qosUs;
-                if (met)
+                if (reports[s].interval.p99Us <= reports[s].qosUs)
                     ++ten.qosMetIntervals;
-                if (metrics)
-                    metrics->add(met ? mid.qosMet : mid.qosViolated);
                 if (reports[s].ratio() > worst) {
                     worst = reports[s].ratio();
                     focus = s;
@@ -708,70 +695,53 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 }
             }
 
-            TimePoint tp;
-            tp.t = now;
-            tp.p99Us = reports[0].interval.p99Us;
-            tp.loadFraction = tenants[0].lastLoad;
-            tp.services.reserve(tenants.size());
-            for (std::size_t s = 0; s < tenants.size(); ++s)
-                tp.services.push_back(
-                    {reports[s].interval.p99Us, tenants[s].lastLoad,
-                     reports[s].shedFraction, reports[s].queueDelayUs});
-            tp.partitionWays = partition.serviceWays();
-            tp.decision = decision;
-            if (budgetActive) {
-                tp.budgetQualityUsed = qualityInUse();
-                for (const auto &report : reports)
-                    tp.budgetShedUsed =
-                        std::max(tp.budgetShedUsed, report.shedFraction);
-                tp.budgetQualityCap = qualitySliceCap;
-                tp.budgetShedCap = shedSliceCap;
+            // Online rollups: every summary finalize() reports is
+            // accumulated here, in interval order, with plain
+            // chronological sums, so the summaries are byte-identical
+            // whether or not the series itself is kept. The budget
+            // samples stay zero when no slice is active.
+            const bool post_warmup = now > kWarmup;
+            for (std::size_t s = 0; s < tenants.size(); ++s) {
+                const double p99 = reports[s].interval.p99Us;
+                if (post_warmup)
+                    tenants[s].intervalP99Post.add(p99);
+                else
+                    tenants[s].warmupP99Sum += p99;
             }
             int total_reclaimed = 0;
             for (std::size_t i = 0; i < tasks.size(); ++i) {
-                tp.variantOf.push_back(tasks[i].variantIndex());
                 const int reclaimed = tasks[i].fairCores() - tasks[i].cores();
-                tp.reclaimed.push_back(reclaimed);
                 maxReclaimed[i] = std::max(maxReclaimed[i], reclaimed);
                 total_reclaimed += reclaimed;
-            }
-
-            // Online rollups: every summary finalize() reports is
-            // accumulated here, in interval order, with the same
-            // plain chronological sums the old retained-timeline scan
-            // used, so the summaries are byte-identical whether or
-            // not the per-tick series itself is kept.
-            const bool post_warmup = now > kWarmup;
-            for (std::size_t s = 0; s < tenants.size(); ++s) {
-                SvcAccum &acc = svcAccum[s];
-                const double p99 = tp.services[s].p99Us;
-                acc.sumP99All += p99;
-                ++acc.nAll;
-                if (post_warmup) {
-                    acc.sumP99Post += p99;
-                    ++acc.nPost;
-                    acc.post.add(p99);
-                }
             }
             maxTotalReclaimed = std::max(maxTotalReclaimed, total_reclaimed);
             if (post_warmup)
                 reclaimTotalsPost.add(total_reclaimed);
-            // Budget fields are zero when no slice is active, exactly
-            // as in the retained TimePoint, so the sums stay in step
-            // with the old unconditional timeline scan.
-            budgetQualitySumAll += tp.budgetQualityUsed;
-            budgetShedSumAll += tp.budgetShedUsed;
-            ++budgetNAll;
-            if (post_warmup) {
-                budgetQualitySumPost += tp.budgetQualityUsed;
-                budgetShedSumPost += tp.budgetShedUsed;
-                ++budgetNPost;
+            double budget_quality = 0.0;
+            double budget_shed = 0.0;
+            if (budgetActive) {
+                budget_quality = qualityInUse();
+                for (const auto &report : reports)
+                    budget_shed = std::max(budget_shed, report.shedFraction);
             }
-            maxWaysSeen = std::max(maxWaysSeen, tp.partitionWays);
+            if (post_warmup) {
+                budgetQualitySumPost += budget_quality;
+                budgetShedSumPost += budget_shed;
+            } else {
+                budgetQualitySumWarmup += budget_quality;
+                budgetShedSumWarmup += budget_shed;
+            }
+            partial.maxPartitionWays =
+                std::max(partial.maxPartitionWays, partition.serviceWays());
+
+            // The series point (three vectors) is built only when
+            // someone consumes it.
+            TimePoint tp;
+            if (sink || cfg.retainTimeline)
+                tp = timePoint(now, decision, budget_quality, budget_shed);
 
             // Observability at the close, in tenant order.
             if (metrics) {
-                metrics->add(mid.intervals);
                 metrics->add(mid.decisions[static_cast<int>(decision.kind)]);
                 if (decision.kind != core::Decision::Kind::None)
                     metrics->add(mid.actuations);
@@ -786,7 +756,7 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 metrics->record(mid.intervalP99Stat,
                                 reports[0].interval.p99Us);
                 if (budgetActive)
-                    metrics->record(mid.budgetQuality, tp.budgetQualityUsed);
+                    metrics->record(mid.budgetQuality, budget_quality);
                 metrics->record(mid.phaseInterval,
                                 std::chrono::duration<double>(
                                     std::chrono::steady_clock::now() - iw0)
@@ -824,6 +794,34 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
         }
     }
     return done();
+}
+
+TimePoint
+Engine::timePoint(sim::Time t, const core::Decision &decision,
+                  double budget_quality, double budget_shed) const
+{
+    TimePoint tp;
+    tp.t = t;
+    tp.p99Us = reports[0].interval.p99Us;
+    tp.loadFraction = tenants[0].tickBuf.offeredLoad;
+    tp.services.reserve(tenants.size());
+    for (std::size_t s = 0; s < tenants.size(); ++s)
+        tp.services.push_back(
+            {reports[s].interval.p99Us, tenants[s].tickBuf.offeredLoad,
+             reports[s].shedFraction, reports[s].queueDelayUs});
+    tp.partitionWays = partition.serviceWays();
+    tp.decision = decision;
+    if (budgetActive) {
+        tp.budgetQualityUsed = budget_quality;
+        tp.budgetShedUsed = budget_shed;
+        tp.budgetQualityCap = qualitySliceCap;
+        tp.budgetShedCap = shedSliceCap;
+    }
+    for (const auto &task : tasks) {
+        tp.variantOf.push_back(task.variantIndex());
+        tp.reclaimed.push_back(task.fairCores() - task.cores());
+    }
+    return tp;
 }
 
 approx::TaskState
@@ -923,15 +921,19 @@ Engine::finalize()
         util::panic("Engine::finalize() called twice");
     finalized = true;
     ColoResult result = std::move(partial);
-    const int total_intervals = totalIntervals;
-    const std::vector<int> &max_reclaimed = maxReclaimed;
+    const auto total_intervals = static_cast<double>(totalIntervals);
+    const std::size_t post_intervals = reclaimTotalsPost.count();
 
     // Every summary below reads the online accumulators filled at
     // interval close, never the retained timeline, so streaming runs
-    // (retainTimeline = false) report exactly the same numbers: the
-    // accumulators use the same plain chronological sums the old
-    // timeline scans did, with the same whole-run fallback when no
-    // interval lands past the warmup window.
+    // (retainTimeline = false) report exactly the same numbers. Means
+    // are over the post-warmup intervals, falling back to the whole
+    // run when no interval lands past the warmup window.
+    const auto steady_mean = [&](double post_sum, double warmup_sum) {
+        if (post_intervals > 0)
+            return post_sum / static_cast<double>(post_intervals);
+        return totalIntervals > 0 ? warmup_sum / total_intervals : 0.0;
+    };
 
     // Per-service summaries; [0] mirrors into the scalar fields.
     for (std::size_t s = 0; s < tenants.size(); ++s) {
@@ -942,7 +944,7 @@ Engine::finalize()
         out.overallP99Us = ten.monitor->longRunP99();
         out.steadyP99Us = ten.steady.value();
         out.steadySketch = ten.steady;
-        out.intervalP99Stats = svcAccum[s].post;
+        out.intervalP99Stats = ten.intervalP99Post;
         if (ten.admission) {
             const admission::AdmissionStats life = ten.admission->lifetime();
             out.shedFraction = life.shedFraction();
@@ -950,16 +952,11 @@ Engine::finalize()
             out.meanBatchSize = life.meanBatchSize;
         }
 
-        const SvcAccum &acc = svcAccum[s];
-        const double sum_p99 = acc.nPost > 0 ? acc.sumP99Post : acc.sumP99All;
-        const std::size_t n_intervals = acc.nPost > 0 ? acc.nPost : acc.nAll;
         out.meanIntervalP99Us =
-            n_intervals == 0 ? 0.0
-                             : sum_p99 / static_cast<double>(n_intervals);
-        out.qosMetFraction = total_intervals == 0
-                                 ? 0.0
-                                 : static_cast<double>(ten.qosMetIntervals) /
-                                       static_cast<double>(total_intervals);
+            steady_mean(ten.intervalP99Post.sum(), ten.warmupP99Sum);
+        if (totalIntervals > 0)
+            out.qosMetFraction =
+                static_cast<double>(ten.qosMetIntervals) / total_intervals;
         result.services.push_back(std::move(out));
     }
     result.overallP99Us = result.services[0].overallP99Us;
@@ -970,24 +967,16 @@ Engine::finalize()
     result.maxCoresReclaimedTotal = maxTotalReclaimed;
     result.approximationAloneSufficed = maxTotalReclaimed == 0;
     if (result.budgetEnabled) {
-        // Budget rollups: post-warmup means of the interval samples
-        // (whole-run fallback for very short runs, mirroring the
-        // per-service p99 means), plus the caps in force at the end.
-        const double q_sum =
-            budgetNPost > 0 ? budgetQualitySumPost : budgetQualitySumAll;
-        const double s_sum =
-            budgetNPost > 0 ? budgetShedSumPost : budgetShedSumAll;
-        const std::size_t n_budget =
-            budgetNPost > 0 ? budgetNPost : budgetNAll;
-        if (n_budget > 0) {
-            result.budgetQualityUsed = q_sum / static_cast<double>(n_budget);
-            result.budgetShedUsed = s_sum / static_cast<double>(n_budget);
-        }
+        // Budget rollups: steady means of the interval samples, plus
+        // the caps in force at the end.
+        result.budgetQualityUsed =
+            steady_mean(budgetQualitySumPost, budgetQualitySumWarmup);
+        result.budgetShedUsed =
+            steady_mean(budgetShedSumPost, budgetShedSumWarmup);
         result.budgetQualityCap = qualitySliceCap;
         result.budgetShedCap = shedSliceCap;
     }
-    result.maxPartitionWays = std::max(result.maxPartitionWays, maxWaysSeen);
-    if (reclaimTotalsPost.count() > 0)
+    if (post_intervals > 0)
         result.typicalCoresReclaimed =
             static_cast<int>(std::lround(reclaimTotalsPost.percentile(60.0)));
 
@@ -999,20 +988,30 @@ Engine::finalize()
         out.inaccuracy = tasks[i].inaccuracy();
         out.switches = tasks[i].switchCount();
         out.dynrecOverhead = tasks[i].profile().dynrecOverhead;
-        out.maxCoresReclaimed = max_reclaimed[i];
+        out.maxCoresReclaimed = maxReclaimed[i];
         result.apps.push_back(std::move(out));
     }
 
-    // Snapshot-time gauges, then the snapshot itself.
+    // The counts the engine keeps itself go into the registry once,
+    // here, then the snapshot is taken.
     if (metrics) {
+        std::uint64_t samples = 0;
+        std::uint64_t qos_met = 0;
         double arms = 0.0;
         double releases = 0.0;
         for (const auto &ten : tenants) {
+            samples += ten.monitor->offered();
+            qos_met += static_cast<std::uint64_t>(ten.qosMetIntervals);
             if (!ten.admission)
                 continue;
             arms += static_cast<double>(ten.admission->gateArms());
             releases += static_cast<double>(ten.admission->gateReleases());
         }
+        const auto intervals = static_cast<std::uint64_t>(totalIntervals);
+        metrics->add(mid.intervals, intervals);
+        metrics->add(mid.samples, samples);
+        metrics->add(mid.qosMet, qos_met);
+        metrics->add(mid.qosViolated, intervals * tenants.size() - qos_met);
         metrics->set(mid.gateArms, arms);
         metrics->set(mid.gateReleases, releases);
         result.metrics = metrics->snapshot();

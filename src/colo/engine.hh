@@ -180,7 +180,9 @@ struct ColoConfig
      * registry is constructed, no instrumentation branch taken, no
      * RNG stream touched (pinned by regression tests). With metrics
      * on, every metric not tagged wall_time is exactly equal at any
-     * pool-thread count.
+     * pool-thread count. Counts the engine already keeps (intervals,
+     * samples, QoS verdicts, shed-gate transitions) are written into
+     * the registry once, at finalize(); the rest record live.
      */
     obs::ObsConfig observability;
 };
@@ -200,13 +202,13 @@ struct ServicePoint
 struct TimePoint
 {
     sim::Time t = 0;
-    double p99Us = 0.0;       ///< primary service's interval tail
-    double loadFraction = 0.0; ///< primary service's offered load
+    double p99Us = 0.0;                 ///< primary service's interval tail
+    double loadFraction = 0.0;          ///< primary service's offered load
     std::vector<ServicePoint> services; ///< per-service series
-    std::vector<int> variantOf;  ///< per-app active variant
-    std::vector<int> reclaimed;  ///< per-app cores reclaimed
-    int partitionWays = 0;       ///< LLC ways isolated for services
-    core::Decision decision;     ///< what the runtime did
+    std::vector<int> variantOf;         ///< per-app active variant
+    std::vector<int> reclaimed;         ///< per-app cores reclaimed
+    int partitionWays = 0;              ///< LLC ways isolated for services
+    core::Decision decision;            ///< what the runtime did
 
     /**
      * Budget accounting at this interval close, sampled only when
@@ -281,7 +283,7 @@ struct ColoResult
 {
     std::string service; ///< primary (first) service's name
     std::string runtime;
-    double qosUs = 0.0;  ///< primary service's QoS target
+    double qosUs = 0.0; ///< primary service's QoS target
 
     /**
      * Whether the admission front-end ran. Output writers key new
@@ -447,8 +449,7 @@ class Engine
      * run().
      * @return done().
      */
-    bool advanceUntil(sim::Time until,
-                      bool keep_services_running = false);
+    bool advanceUntil(sim::Time until, bool keep_services_running = false);
 
     /** Whether every app has finished (vacuously true with none). */
     bool appsFinished() const;
@@ -467,8 +468,9 @@ class Engine
 
     /**
      * Per-service reports from the most recently closed decision
-     * interval (empty before the first interval closes). The cluster
-     * placement layer reads these to compare node pressure.
+     * interval, one per tenant. Before the first close each carries
+     * only the tenant's name and QoS target (ratio() is 0). The
+     * cluster placement layer reads these to compare node pressure.
      */
     const std::vector<core::ServiceReport> &lastReports() const
     {
@@ -503,17 +505,6 @@ class Engine
      * loop takes the exact pre-obs path.
      */
     void setTrace(obs::TraceWriter *writer, int pid = 0);
-
-    /**
-     * The live metrics registry (null when
-     * cfg.observability.metrics is off). Exposed for tests and the
-     * cluster's node-order fold; snapshot() is safe between
-     * advanceUntil() chunks.
-     */
-    const obs::MetricsRegistry *metricsRegistry() const
-    {
-        return metrics.get();
-    }
 
     /**
      * Budget hook: install this node's slice of the cluster-wide
@@ -589,12 +580,23 @@ class Engine
         std::unique_ptr<services::InteractiveService> service;
         std::unique_ptr<core::PerformanceMonitor> monitor;
         util::P2Quantile steady{0.99};
-        services::ServiceTickResult tickBuf; ///< reused every tick
-        double lastLoad = 0.0;
+        /** Reused every tick; offeredLoad is the last tick's load. */
+        services::ServiceTickResult tickBuf;
+        /** Decision intervals whose p99 met this tenant's QoS. */
         int qosMetIntervals = 0;
-        int fairCores = 0;
+        /**
+         * Post-warmup interval p99s. The rollup mean divides sum(),
+         * a plain chronological sum, not the Welford mean(): the
+         * goldens pin that arithmetic.
+         */
+        util::RunningStats intervalP99Post;
+        /**
+         * Interval p99 sum up to the warmup; the mean falls back to
+         * it when no interval lands past the warmup.
+         */
+        double warmupP99Sum = 0.0;
 
-        double rawLoad = 0.0; ///< this tick's scenario load
+        double rawLoad = 0.0;               ///< this tick's scenario load
         admission::AdmissionOutcome admOut; ///< this tick's outcome
 
         /**
@@ -605,25 +607,11 @@ class Engine
         std::unique_ptr<admission::AdmissionQueue> admission;
     };
 
-    bool allFinished() const;
     void recordRoster();
 
-    /**
-     * Online rollup state for one interactive tenant, updated at
-     * every interval close. Plain chronological sums (not Welford)
-     * for the mean fields, in exactly the order the old
-     * finalize()-time timeline scan added them, so streaming and
-     * retained runs produce bit-identical results.
-     */
-    struct SvcAccum
-    {
-        double sumP99Post = 0.0; ///< post-warmup interval p99 sum
-        std::size_t nPost = 0;
-        double sumP99All = 0.0; ///< whole-run fallback sum
-        std::size_t nAll = 0;
-        /** Post-warmup interval p99 distribution (new rollup). */
-        util::RunningStats post;
-    };
+    /** The series point of the interval that just closed at `t`. */
+    TimePoint timePoint(sim::Time t, const core::Decision &decision,
+                        double budget_quality, double budget_shed) const;
 
     ColoConfig cfg;
     std::vector<Tenant> tenants;
@@ -651,31 +639,33 @@ class Engine
     double shedSliceCap = -1.0;
     /** Per-task max cores reclaimed (parallel to `tasks`). */
     std::vector<int> maxReclaimed;
-    /** Per-tenant streaming rollups (parallel to `tenants`). */
-    std::vector<SvcAccum> svcAccum;
     /** Running max of per-interval total reclaimed cores. */
     int maxTotalReclaimed = 0;
     /**
      * Post-warmup per-interval reclaimed totals — kept exactly (one
      * double per interval, the only O(intervals) state in streaming
      * mode) because typicalCoresReclaimed is a golden-pinned exact
-     * 60th percentile, not a sketch.
+     * 60th percentile, not a sketch. Its count() is the run's one
+     * post-warmup interval count.
      */
     util::PercentileWindow reclaimTotalsPost;
-    /** Budget usage sums (same post/all split as SvcAccum). */
+    /**
+     * Budget usage sums after and up to the warmup (the fallback when
+     * no interval lands past it), as for Tenant's interval p99s.
+     */
     double budgetQualitySumPost = 0.0;
     double budgetShedSumPost = 0.0;
-    std::size_t budgetNPost = 0;
-    double budgetQualitySumAll = 0.0;
-    double budgetShedSumAll = 0.0;
-    std::size_t budgetNAll = 0;
-    /** Running max of LLC ways isolated for the services. */
-    int maxWaysSeen = 0;
+    double budgetQualitySumWarmup = 0.0;
+    double budgetShedSumWarmup = 0.0;
     /** Streaming consumer (non-owning; null = none). */
     TimelineSink *sink = nullptr;
 
     // --- observability (all null/empty when disabled) ---
-    /** Metric handles, registered once at construction. */
+    /**
+     * Metric handles, registered once at construction. `intervals`,
+     * `samples`, `qosMet` and `qosViolated` (like the gate gauges)
+     * are written once at finalize() from the engine's own counts.
+     */
     struct MetricIds
     {
         obs::MetricId ticks = 0;
@@ -721,7 +711,10 @@ class Engine
      * tick-allocation tests).
      */
     std::vector<approx::PressureVector> peerPressure;
-    /** Partially-built result: identity fields + growing timeline. */
+    /**
+     * Partially-built result: identity fields, the growing timeline,
+     * and the running maxPartitionWays.
+     */
     ColoResult partial;
 };
 
@@ -731,8 +724,7 @@ class Engine
  */
 ColoResult runColocation(services::ServiceKind service,
                          const std::vector<std::string> &apps,
-                         core::RuntimeKind runtime,
-                         std::uint64_t seed = 1,
+                         core::RuntimeKind runtime, std::uint64_t seed = 1,
                          double load_fraction = 0.78);
 
 /**
@@ -745,8 +737,7 @@ ColoResult runColocation(services::ServiceKind service,
  */
 std::vector<ColoResult>
 runColocations(const std::vector<ColoConfig> &configs,
-               const driver::SweepOptions &sweep =
-                   driver::SweepOptions{});
+               const driver::SweepOptions &sweep = driver::SweepOptions{});
 
 /**
  * Build the ColoConfig runColocation() would run, so batch callers
@@ -754,8 +745,7 @@ runColocations(const std::vector<ColoConfig> &configs,
  */
 ColoConfig makeColoConfig(services::ServiceKind service,
                           const std::vector<std::string> &apps,
-                          core::RuntimeKind runtime,
-                          std::uint64_t seed = 1,
+                          core::RuntimeKind runtime, std::uint64_t seed = 1,
                           double load_fraction = 0.78);
 
 /**

@@ -19,9 +19,12 @@
  *
  * Registration (counter()/gauge()/stat()/histogram()) happens at
  * engine/cluster construction and allocates; freeze() then ends
- * registration, so the storage never moves again. Every update on a frozen registry — add(), set(),
- * record(), histAdd() — is heap-allocation-free, which the warmed
- * tick loop's zero-allocation test relies on.
+ * registration, so the storage never moves again. Every update on a
+ * frozen registry — add(), set(), record(), histAdd() — is
+ * heap-allocation-free, which the warmed tick loop's zero-allocation
+ * test relies on. Values the owner keeps anyway need no live
+ * updates: the engine writes its interval, sample and QoS-verdict
+ * counts once, just before snapshot().
  */
 
 #ifndef PLIANT_OBS_METRICS_HH

@@ -232,6 +232,24 @@ TEST(EngineMultiServiceTest, ReportsBothServicesAndTheirQos)
     }
 }
 
+TEST(EngineMultiServiceTest, LastReportsCarryQosTargetsBeforeFirstClose)
+{
+    // The cluster's t = 0 budget allocation reads lastReports()
+    // before any interval has closed: one report per tenant, named
+    // and carrying its QoS target, with no tail measured yet.
+    const Engine engine(acceptanceConfigs().front());
+    const auto &reports = engine.lastReports();
+    ASSERT_EQ(reports.size(), 2u);
+    EXPECT_EQ(reports[0].name, "memcached");
+    EXPECT_EQ(reports[1].name, "nginx");
+    EXPECT_DOUBLE_EQ(reports[0].qosUs, 200.0);
+    EXPECT_DOUBLE_EQ(reports[1].qosUs, 10e3);
+    for (const auto &report : reports) {
+        EXPECT_EQ(report.interval.p99Us, 0.0);
+        EXPECT_EQ(report.ratio(), 0.0);
+    }
+}
+
 TEST(EngineMultiServiceTest, PliantImprovesOnPreciseUnderFlashCrowd)
 {
     const auto results =

@@ -9,10 +9,13 @@
  *    simulation (timeline CSV byte-equal to an obs-off run);
  *  - output byte-pin: an obs-off run's summary CSV contains no obs
  *    column, and the obs-on CSV only ever appends columns;
+ *  - one source per count: the exported interval and QoS counters
+ *    agree with the per-service rollups, per node and folded;
  *  - tracing: an engine/cluster trace has balanced, nested spans
  *    with non-decreasing per-track simulated timestamps.
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -40,10 +43,9 @@ engineConfig()
 {
     colo::ColoConfig cfg = colo::makeMultiServiceConfig(
         {{services::ServiceKind::Memcached,
-          colo::Scenario::flashCrowd(0.45, 1.10, 15 * kS, 3 * kS,
-                                     20 * kS, 5 * kS)},
-         {services::ServiceKind::Nginx,
-          colo::Scenario::constant(0.45)}},
+          colo::Scenario::flashCrowd(0.45, 1.10, 15 * kS, 3 * kS, 20 * kS,
+                                     5 * kS)},
+         {services::ServiceKind::Nginx, colo::Scenario::constant(0.45)}},
         {"canneal", "bayesian"}, core::RuntimeKind::Pliant, 71);
     cfg.admission.enabled = true;
     cfg.admission.policy = admission::AdmissionKind::QosShed;
@@ -59,9 +61,9 @@ clusterConfig()
     for (int n = 0; n < 3; ++n) {
         builder.node();
         builder.service(services::ServiceKind::Memcached,
-                        n == 0 ? colo::Scenario::flashCrowd(
-                                     0.60, 0.95, 20 * kS, 3 * kS,
-                                     20 * kS, 10 * kS)
+                        n == 0 ? colo::Scenario::flashCrowd(0.60, 0.95,
+                                                            20 * kS, 3 * kS,
+                                                            20 * kS, 10 * kS)
                                : colo::Scenario::constant(0.60));
     }
     builder.apps({"canneal", "bayesian", "snp"})
@@ -93,22 +95,22 @@ expectMetricsEqual(const obs::MetricsSnapshot &a,
         if (ma.stability == obs::Stability::WallTime)
             continue;
         switch (ma.kind) {
-        case obs::MetricKind::Counter:
-            EXPECT_EQ(ma.count, mb.count) << ma.name;
-            break;
-        case obs::MetricKind::Gauge:
-            EXPECT_EQ(ma.value, mb.value) << ma.name;
-            break;
-        case obs::MetricKind::Stat:
-            EXPECT_EQ(ma.stat.count(), mb.stat.count()) << ma.name;
-            EXPECT_EQ(ma.stat.mean(), mb.stat.mean()) << ma.name;
-            EXPECT_EQ(ma.stat.min(), mb.stat.min()) << ma.name;
-            EXPECT_EQ(ma.stat.max(), mb.stat.max()) << ma.name;
-            EXPECT_EQ(ma.stat.sum(), mb.stat.sum()) << ma.name;
-            break;
-        case obs::MetricKind::Histogram:
-            EXPECT_EQ(ma.buckets, mb.buckets) << ma.name;
-            break;
+            case obs::MetricKind::Counter:
+                EXPECT_EQ(ma.count, mb.count) << ma.name;
+                break;
+            case obs::MetricKind::Gauge:
+                EXPECT_EQ(ma.value, mb.value) << ma.name;
+                break;
+            case obs::MetricKind::Stat:
+                EXPECT_EQ(ma.stat.count(), mb.stat.count()) << ma.name;
+                EXPECT_EQ(ma.stat.mean(), mb.stat.mean()) << ma.name;
+                EXPECT_EQ(ma.stat.min(), mb.stat.min()) << ma.name;
+                EXPECT_EQ(ma.stat.max(), mb.stat.max()) << ma.name;
+                EXPECT_EQ(ma.stat.sum(), mb.stat.sum()) << ma.name;
+                break;
+            case obs::MetricKind::Histogram:
+                EXPECT_EQ(ma.buckets, mb.buckets) << ma.name;
+                break;
         }
     }
 }
@@ -158,11 +160,8 @@ TEST(ObsEngineTest, EnablingMetricsDoesNotPerturbTheSimulation)
     EXPECT_GT(b.metrics.find("engine.ticks")->count, 0U);
     EXPECT_GT(b.metrics.find("engine.intervals")->count, 0U);
     EXPECT_GT(b.metrics.find("engine.samples")->count, 0U);
-    EXPECT_GT(b.metrics.find("engine.interval_p99_us_hist")
-                  ->histCount(),
-              0U);
-    EXPECT_GT(b.metrics.find("admission.shed_fraction")->stat.count(),
-              0U);
+    EXPECT_GT(b.metrics.find("engine.interval_p99_us_hist")->histCount(), 0U);
+    EXPECT_GT(b.metrics.find("admission.shed_fraction")->stat.count(), 0U);
 }
 
 TEST(ObsEngineTest, SummaryCsvObsColumnsAppearOnlyWhenEnabled)
@@ -192,6 +191,108 @@ TEST(ObsEngineTest, SummaryCsvObsColumnsAppearOnlyWhenEnabled)
         EXPECT_GT(line_on.size(), line_off.size());
     }
     EXPECT_NE(csv_on.find("obs_ticks"), std::string::npos);
+}
+
+/** Dense admission node: 8 tenants, two flash-crowded past saturation. */
+colo::ColoConfig
+crowdNodeConfig()
+{
+    static const services::ServiceKind kinds[] = {
+        services::ServiceKind::Memcached, services::ServiceKind::Nginx,
+        services::ServiceKind::MongoDb};
+    std::vector<colo::ServiceSpec> specs;
+    for (int k = 0; k < 8; ++k) {
+        colo::ServiceSpec spec;
+        spec.kind = kinds[k % 3];
+        spec.name = "svc-" + std::to_string(k);
+        spec.scenario =
+            k < 2 ? colo::Scenario::flashCrowd(0.45, 1.15, 5 * kS, 3 * kS,
+                                               30 * kS, 5 * kS)
+                  : colo::Scenario::constant(0.45);
+        specs.push_back(std::move(spec));
+    }
+    colo::ColoConfig cfg =
+        colo::makeMultiServiceConfig(std::move(specs), {"canneal", "bayesian"},
+                                     core::RuntimeKind::Pliant, 71);
+    cfg.admission.enabled = true;
+    cfg.admission.policy = admission::AdmissionKind::QosShed;
+    cfg.admission.batching = admission::BatchingKind::Adaptive;
+    cfg.maxDuration = 40 * kS;
+    cfg.observability.metrics = true;
+    return cfg;
+}
+
+std::uint64_t
+counterOf(const obs::MetricsSnapshot &snap, const char *name)
+{
+    const obs::MetricValue *m = snap.find(name);
+    EXPECT_NE(m, nullptr) << name;
+    return m ? m->count : 0;
+}
+
+/** A snapshot's QoS verdict counts and the (tenant, interval) pairs. */
+struct QosCounts
+{
+    std::uint64_t met = 0;
+    std::uint64_t pairs = 0;
+};
+
+/**
+ * One node's exported QoS counters against its rollups: met plus
+ * violated covers every (tenant, interval) pair, and met is each
+ * service's met fraction scaled back up to a count.
+ */
+QosCounts
+expectNodeCountsMatchRollups(const colo::ColoResult &r)
+{
+    const std::uint64_t intervals = counterOf(r.metrics, "engine.intervals");
+    const std::uint64_t met = counterOf(r.metrics, "engine.qos_met_intervals");
+    const std::uint64_t violated =
+        counterOf(r.metrics, "engine.qos_violated_intervals");
+    EXPECT_GT(intervals, 0U);
+    EXPECT_EQ(met + violated, r.services.size() * intervals);
+    std::uint64_t from_rollups = 0;
+    for (const colo::ServiceOutcome &svc : r.services)
+        from_rollups += static_cast<std::uint64_t>(
+            std::llround(svc.qosMetFraction * static_cast<double>(intervals)));
+    EXPECT_EQ(met, from_rollups);
+    return {met, r.services.size() * intervals};
+}
+
+TEST(ObsEngineTest, ExportedCountsEqualRollups)
+{
+    const colo::ColoResult node = colo::Engine(crowdNodeConfig()).run();
+    ASSERT_TRUE(node.obsEnabled);
+    ASSERT_EQ(node.services.size(), 8U);
+    const QosCounts counts = expectNodeCountsMatchRollups(node);
+    EXPECT_EQ(counterOf(node.metrics, "engine.intervals"),
+              node.timeline.size());
+    // The crowd both meets and misses QoS, so neither count is
+    // trivially zero.
+    EXPECT_GT(counts.met, 0U);
+    EXPECT_LT(counts.met, counts.pairs);
+
+    cluster::ClusterConfig cfg = clusterConfig();
+    cfg.budget.enabled = true;
+    cfg.budget.qualityBudget = 0.3;
+    cfg.budget.shedBudget = 0.2;
+    const cluster::ClusterResult cl = cluster::Cluster(cfg).run();
+    ASSERT_TRUE(cl.obsEnabled);
+    ASSERT_TRUE(cl.budgetEnabled);
+    ASSERT_EQ(cl.nodes.size(), 3U);
+    QosCounts folded;
+    std::uint64_t intervals = 0;
+    for (const cluster::NodeResult &nr : cl.nodes) {
+        const QosCounts c = expectNodeCountsMatchRollups(nr.result);
+        folded.met += c.met;
+        folded.pairs += c.pairs;
+        intervals += counterOf(nr.result.metrics, "engine.intervals");
+    }
+    EXPECT_EQ(counterOf(cl.metrics, "engine.intervals"), intervals);
+    EXPECT_EQ(counterOf(cl.metrics, "engine.qos_met_intervals"), folded.met);
+    EXPECT_EQ(counterOf(cl.metrics, "engine.qos_met_intervals") +
+                  counterOf(cl.metrics, "engine.qos_violated_intervals"),
+              folded.pairs);
 }
 
 /** One parsed trace_event, enough structure for the invariants. */
@@ -256,9 +357,9 @@ expectWellFormedTrace(const std::vector<TraceEvent> &events)
         }
     }
     for (const auto &entry : stacks)
-        EXPECT_TRUE(entry.second.empty()) << "unclosed spans on track "
-                                          << entry.first.first << "/"
-                                          << entry.first.second;
+        EXPECT_TRUE(entry.second.empty())
+            << "unclosed spans on track " << entry.first.first << "/"
+            << entry.first.second;
 }
 
 TEST(ObsTraceTest, EngineTraceHasBalancedMonotonicSpans)
@@ -311,8 +412,7 @@ TEST(ObsTraceTest, ClusterTraceCoversEpochsAndNodeTracks)
             saw_node_interval = true;
     }
     EXPECT_TRUE(saw_epoch);
-    EXPECT_TRUE(saw_node_interval)
-        << "engine tracks must carry pid 1+node";
+    EXPECT_TRUE(saw_node_interval) << "engine tracks must carry pid 1+node";
 }
 
 } // namespace
