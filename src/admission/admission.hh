@@ -62,11 +62,21 @@ namespace pliant {
 namespace admission {
 
 /** How dispatched requests are grouped. */
-enum class BatchingKind { None, Fixed, Adaptive };
+enum class BatchingKind
+{
+    None,
+    Fixed,
+    Adaptive
+};
 
 /** What gets shed at the front door. */
-enum class AdmissionKind { AcceptAll, DropTail, ProbabilisticShed,
-                           QosShed };
+enum class AdmissionKind
+{
+    AcceptAll,
+    DropTail,
+    ProbabilisticShed,
+    QosShed
+};
 
 /** Printable names (used by tables, CSV, and the CLI). */
 std::string batchingName(BatchingKind kind);
@@ -166,11 +176,9 @@ struct AdmissionStats
     double queueDepthRequests = 0.0;
 
     /** Shed / arrived over the interval (0 when nothing arrived). */
-    double
-    shedFraction() const
+    double shedFraction() const
     {
-        return arrivedRequests > 0.0 ? shedRequests / arrivedRequests
-                                     : 0.0;
+        return arrivedRequests > 0.0 ? shedRequests / arrivedRequests : 0.0;
     }
 };
 
@@ -206,8 +214,8 @@ class AdmissionQueue
      * @param qos_us the tenant's QoS target (sizes the queue bound).
      * @param seed jitter stream seed.
      */
-    AdmissionQueue(AdmissionConfig cfg, double saturation_qps,
-                   double qos_us, std::uint64_t seed);
+    AdmissionQueue(AdmissionConfig cfg, double saturation_qps, double qos_us,
+                   std::uint64_t seed);
 
     /**
      * Advance one tick: generate arrivals from the scenario's mean
@@ -283,8 +291,7 @@ class AdmissionQueue
      *        amortization included).
      * @param dt tick length (advances the QosShed gate's idle time).
      */
-    double shedFractionFor(double arrivals, double capacity_req,
-                           sim::Time dt);
+    double shedFractionFor(double arrivals, double capacity_req, sim::Time dt);
 
     AdmissionConfig cfg;
     double satQps;

@@ -17,8 +17,7 @@ namespace {
 std::string
 resolvedNodeName(const NodeSpec &node, std::size_t idx)
 {
-    return node.name.empty() ? "node" + std::to_string(idx)
-                             : node.name;
+    return node.name.empty() ? "node" + std::to_string(idx) : node.name;
 }
 
 } // namespace
@@ -33,16 +32,15 @@ validateClusterConfig(const ClusterConfig &cfg)
     colo::validateAppList(cfg.apps, cfg.initialVariants);
     for (std::size_t i = 0; i < cfg.nodes.size(); ++i) {
         if (cfg.nodes[i].services.empty())
-            util::fatal("cluster node '",
-                        resolvedNodeName(cfg.nodes[i], i),
+            util::fatal("cluster node '", resolvedNodeName(cfg.nodes[i], i),
                         "' hosts no interactive service");
         const auto &specs = cfg.nodes[i].services;
         for (std::size_t a = 0; a < specs.size(); ++a) {
             colo::validateScenario(specs[a].scenario, specs[a].resolvedName());
             for (std::size_t b = a + 1; b < specs.size(); ++b)
                 if (specs[a].resolvedName() == specs[b].resolvedName())
-                    util::fatal("duplicate service '",
-                                specs[a].resolvedName(), "' on node '",
+                    util::fatal("duplicate service '", specs[a].resolvedName(),
+                                "' on node '",
                                 resolvedNodeName(cfg.nodes[i], i),
                                 "': give same-kind tenants distinct "
                                 "instance names");
@@ -82,7 +80,8 @@ validateClusterConfig(const ClusterConfig &cfg)
     budget::validateBudgetConfig(cfg.budget);
     if (cfg.budget.enabled && cfg.nodes.size() < 2)
         util::fatal("cluster-wide budgets need at least 2 nodes to "
-                    "split across (got ", cfg.nodes.size(),
+                    "split across (got ",
+                    cfg.nodes.size(),
                     "): a single node's slice is the whole budget — "
                     "run without budgets instead");
 }
@@ -104,15 +103,14 @@ Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
         profs.push_back(approx::findProfile(name));
     assignment = policy->initialPlacement(cfg.nodes.size(), profs);
     if (assignment.size() != cfg.apps.size())
-        util::panic("placement policy '", policy->name(),
-                    "' returned ", assignment.size(),
-                    " assignments for ", cfg.apps.size(), " apps");
+        util::panic("placement policy '", policy->name(), "' returned ",
+                    assignment.size(), " assignments for ", cfg.apps.size(),
+                    " apps");
     for (std::size_t a = 0; a < assignment.size(); ++a)
         if (assignment[a] >= cfg.nodes.size())
             util::panic("placement policy '", policy->name(),
-                        "' assigned app '", cfg.apps[a],
-                        "' to node ", assignment[a], " of ",
-                        cfg.nodes.size());
+                        "' assigned app '", cfg.apps[a], "' to node ",
+                        assignment[a], " of ", cfg.nodes.size());
 
     nodeNames.reserve(cfg.nodes.size());
     nodeConfigs.reserve(cfg.nodes.size());
@@ -156,22 +154,21 @@ Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
         metrics = std::make_unique<obs::MetricsRegistry>();
         mid.epochs = metrics->counter("cluster.epochs");
         mid.migrations = metrics->counter("cluster.migrations");
-        mid.budgetAllocs =
-            metrics->counter("cluster.budget_allocations");
-        mid.epochWall = metrics->stat("cluster.epoch_wall_s",
-                                      obs::Stability::WallTime);
-        mid.poolSubmitted = metrics->gauge(
-            "pool.jobs_submitted", obs::Stability::WallTime);
-        mid.poolExecuted = metrics->gauge("pool.jobs_executed",
-                                          obs::Stability::WallTime);
-        mid.poolDepthMax = metrics->gauge("pool.max_queue_depth",
-                                          obs::Stability::WallTime);
-        mid.poolDepthMean = metrics->gauge(
-            "pool.mean_queue_depth", obs::Stability::WallTime);
-        mid.poolJobWallMean = metrics->gauge(
-            "pool.job_wall_mean_s", obs::Stability::WallTime);
-        mid.poolJobWallMax = metrics->gauge(
-            "pool.job_wall_max_s", obs::Stability::WallTime);
+        mid.budgetAllocs = metrics->counter("cluster.budget_allocations");
+        mid.epochWall =
+            metrics->stat("cluster.epoch_wall_s", obs::Stability::WallTime);
+        mid.poolSubmitted =
+            metrics->gauge("pool.jobs_submitted", obs::Stability::WallTime);
+        mid.poolExecuted =
+            metrics->gauge("pool.jobs_executed", obs::Stability::WallTime);
+        mid.poolDepthMax =
+            metrics->gauge("pool.max_queue_depth", obs::Stability::WallTime);
+        mid.poolDepthMean =
+            metrics->gauge("pool.mean_queue_depth", obs::Stability::WallTime);
+        mid.poolJobWallMean =
+            metrics->gauge("pool.job_wall_mean_s", obs::Stability::WallTime);
+        mid.poolJobWallMax =
+            metrics->gauge("pool.job_wall_max_s", obs::Stability::WallTime);
         metrics->freeze();
     }
 }
@@ -186,8 +183,7 @@ Cluster::setTraceWriter(obs::TraceWriter *writer)
     tracer->threadName(0, 0, "epochs");
     tracer->threadName(0, 1, "events");
     for (std::size_t i = 0; i < nodeNames.size(); ++i)
-        tracer->processName(static_cast<int>(i) + 1,
-                            "node:" + nodeNames[i]);
+        tracer->processName(static_cast<int>(i) + 1, "node:" + nodeNames[i]);
 }
 
 Cluster::~Cluster() = default;
@@ -205,11 +201,10 @@ Cluster::gatherStatuses() const
         st.worstRatio = core::worstRatio(st.services);
         st.relief = engines[i]->reliefPredictions();
         for (const auto &relief : st.relief)
-            st.reliefRatio =
-                std::max(st.reliefRatio, relief.predictedRatio);
+            st.reliefRatio = std::max(st.reliefRatio, relief.predictedRatio);
         for (const auto &report : st.services)
-            st.admissionShedFraction = std::max(
-                st.admissionShedFraction, report.shedFraction);
+            st.admissionShedFraction =
+                std::max(st.admissionShedFraction, report.shedFraction);
         st.qualityInUse = engines[i]->qualityInUse();
         st.qualityHeadroom = engines[i]->qualityHeadroom();
         st.apps.reserve(engines[i]->appCount());
@@ -228,11 +223,10 @@ Cluster::gatherStatuses() const
 }
 
 void
-Cluster::applyMigration(const MigrationDecision &decision,
-                        sim::Time now, ClusterResult &out)
+Cluster::applyMigration(const MigrationDecision &decision, sim::Time now,
+                        ClusterResult &out)
 {
-    if (decision.from >= engines.size() ||
-        decision.to >= engines.size() ||
+    if (decision.from >= engines.size() || decision.to >= engines.size() ||
         decision.from == decision.to)
         return;
     colo::Engine &src = *engines[decision.from];
@@ -244,8 +238,8 @@ Cluster::applyMigration(const MigrationDecision &decision,
         // its clock there; bring its services up to the barrier
         // first, so the migrant resumes at cluster time `now` rather
         // than re-executing a window it already ran on the source.
-        engines[decision.to]->advanceUntil(
-            now, /*keep_services_running=*/true);
+        engines[decision.to]->advanceUntil(now,
+                                           /*keep_services_running=*/true);
         engines[decision.to]->attachApp(state);
         out.migrations.push_back(
             {now, decision.app, decision.from, decision.to});
@@ -256,9 +250,8 @@ Cluster::applyMigration(const MigrationDecision &decision,
             tracer->instant(0, 1, ev.c_str(), now);
         }
         util::inform("cluster: migrated '", decision.app, "' from ",
-                     nodeNames[decision.from], " to ",
-                     nodeNames[decision.to], " at t=",
-                     sim::toSeconds(now), " s");
+                     nodeNames[decision.from], " to ", nodeNames[decision.to],
+                     " at t=", sim::toSeconds(now), " s");
         return;
     }
 }
@@ -278,11 +271,9 @@ Cluster::allocateBudget(const std::vector<NodeStatus> &statuses)
         d.shedFraction = st.admissionShedFraction;
         demands.push_back(std::move(d));
     }
-    const std::vector<budget::NodeSlice> slices =
-        budgeter->allocate(demands);
+    const std::vector<budget::NodeSlice> slices = budgeter->allocate(demands);
     for (std::size_t i = 0; i < engines.size(); ++i)
-        engines[i]->setBudgetSlice(slices[i].qualityCap,
-                                   slices[i].shedCap);
+        engines[i]->setBudgetSlice(slices[i].qualityCap, slices[i].shedCap);
     if (metrics)
         metrics->add(mid.budgetAllocs);
 }
@@ -305,8 +296,8 @@ Cluster::run()
     out.placement = policy->name();
 
     if (cfg.budget.enabled) {
-        budgeter = std::make_unique<budget::Controller>(
-            cfg.budget, engines.size());
+        budgeter =
+            std::make_unique<budget::Controller>(cfg.budget, engines.size());
         // Install initial slices before any node runs: with no
         // reports yet every demand is zero, so each policy degrades
         // to a uniform split, and nodes are budget-gated from t=0.
@@ -334,8 +325,8 @@ Cluster::run()
         for (std::size_t i = 0; i < engines.size(); ++i) {
             pool.submit([this, i, t, &errors] {
                 try {
-                    engines[i]->advanceUntil(
-                        t, /*keep_services_running=*/true);
+                    engines[i]->advanceUntil(t,
+                                             /*keep_services_running=*/true);
                 } catch (...) {
                     errors[i] = std::current_exception();
                 }
@@ -348,11 +339,10 @@ Cluster::run()
 
         if (metrics) {
             metrics->add(mid.epochs);
-            metrics->record(
-                mid.epochWall,
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - ew0)
-                    .count());
+            metrics->record(mid.epochWall,
+                            std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - ew0)
+                                .count());
         }
         if (tracer) {
             // The epoch span is emitted whole at the barrier, so
@@ -412,9 +402,8 @@ Cluster::run()
     util::P2Quantile steady_all{0.99};
     for (const auto &nr : out.nodes) {
         for (const auto &svc : nr.result.services) {
-            const double ratio = svc.qosUs > 0.0
-                ? svc.meanIntervalP99Us / svc.qosUs
-                : 0.0;
+            const double ratio =
+                svc.qosUs > 0.0 ? svc.meanIntervalP99Us / svc.qosUs : 0.0;
             worst_ratio = std::max(worst_ratio, ratio);
             met_sum += svc.qosMetFraction;
             ++met_n;
@@ -434,10 +423,8 @@ Cluster::run()
     out.steadyP99Us = steady_all.value();
     out.meanQosMetFraction =
         met_n ? met_sum / static_cast<double>(met_n) : 0.0;
-    out.meanInaccuracy =
-        total ? inacc / static_cast<double>(total) : 0.0;
-    out.meanRelativeExecTime =
-        total ? rel / static_cast<double>(total) : 0.0;
+    out.meanInaccuracy = total ? inacc / static_cast<double>(total) : 0.0;
+    out.meanRelativeExecTime = total ? rel / static_cast<double>(total) : 0.0;
     out.appsFinished = finished;
     out.appsTotal = total;
     out.totalMaxCoresReclaimed = cores;
@@ -451,12 +438,9 @@ Cluster::run()
     }
     if (metrics) {
         const driver::Pool::Stats ps = pool.stats();
-        metrics->set(mid.poolSubmitted,
-                     static_cast<double>(ps.submitted));
-        metrics->set(mid.poolExecuted,
-                     static_cast<double>(ps.executed));
-        metrics->set(mid.poolDepthMax,
-                     static_cast<double>(ps.maxQueueDepth));
+        metrics->set(mid.poolSubmitted, static_cast<double>(ps.submitted));
+        metrics->set(mid.poolExecuted, static_cast<double>(ps.executed));
+        metrics->set(mid.poolDepthMax, static_cast<double>(ps.maxQueueDepth));
         metrics->set(mid.poolDepthMean, ps.meanQueueDepth);
         metrics->set(mid.poolJobWallMean, ps.jobWallMeanS);
         metrics->set(mid.poolJobWallMax, ps.jobWallMaxS);
@@ -477,11 +461,10 @@ runClusters(const std::vector<ClusterConfig> &configs,
             const driver::SweepOptions &sweep_opts)
 {
     driver::Sweep sweep(sweep_opts);
-    util::inform("cluster: running ", configs.size(),
-                 " experiments on ", sweep.threadCount(), " threads");
+    util::inform("cluster: running ", configs.size(), " experiments on ",
+                 sweep.threadCount(), " threads");
     return sweep.mapItems(
-        configs,
-        [](const ClusterConfig &cfg, const driver::TaskContext &) {
+        configs, [](const ClusterConfig &cfg, const driver::TaskContext &) {
             // One cluster per sweep worker: run its nodes serially
             // so the sweep's parallelism is not multiplied. The
             // config's own seed governs the experiment (the task
@@ -502,8 +485,8 @@ clusterTable(const std::vector<std::string> &labels,
         util::panic("clusterTable: ", labels.size(), " labels for ",
                     results.size(), " results");
     util::TextTable table({"experiment", "runtime", "placement",
-                           "worst p99/QoS", "met%", "inaccuracy",
-                           "migrations", "apps done", "cores"});
+                           "worst p99/QoS", "met%", "inaccuracy", "migrations",
+                           "apps done", "cores"});
     for (std::size_t i = 0; i < results.size(); ++i) {
         const ClusterResult &r = results[i];
         table.addRow({labels[i], r.runtime, r.placement,
@@ -559,8 +542,7 @@ ClusterConfigBuilder::service(services::ServiceKind kind,
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::service(std::string name,
-                              services::ServiceKind kind,
+ClusterConfigBuilder::service(std::string name, services::ServiceKind kind,
                               colo::Scenario scenario)
 {
     colo::ServiceSpec spec;
@@ -649,9 +631,8 @@ ClusterConfigBuilder::admission(
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::admission(
-    pliant::admission::AdmissionKind policy,
-    pliant::admission::BatchingKind batching)
+ClusterConfigBuilder::admission(pliant::admission::AdmissionKind policy,
+                                pliant::admission::BatchingKind batching)
 {
     cfg.admission.enabled = true;
     cfg.admission.policy = policy;
@@ -669,8 +650,7 @@ ClusterConfigBuilder::budget(pliant::budget::BudgetConfig budget_cfg)
 
 ClusterConfigBuilder &
 ClusterConfigBuilder::budget(pliant::budget::BudgetPolicy policy,
-                             double quality_budget,
-                             double shed_budget)
+                             double quality_budget, double shed_budget)
 {
     cfg.budget.enabled = true;
     cfg.budget.policy = policy;

@@ -249,8 +249,7 @@ class ClusterConfigBuilder
                                   colo::Scenario scenario);
 
     /** Attach a named tenant to the most recent node. */
-    ClusterConfigBuilder &service(std::string name,
-                                  services::ServiceKind kind,
+    ClusterConfigBuilder &service(std::string name, services::ServiceKind kind,
                                   colo::Scenario scenario);
 
     /** Attach the same tenant to every node declared so far. */
@@ -258,8 +257,7 @@ class ClusterConfigBuilder
                                        colo::Scenario scenario);
 
     ClusterConfigBuilder &app(const std::string &name);
-    ClusterConfigBuilder &app(const std::string &name,
-                              int initialVariant);
+    ClusterConfigBuilder &app(const std::string &name, int initialVariant);
     ClusterConfigBuilder &apps(const std::vector<std::string> &names);
 
     ClusterConfigBuilder &runtime(core::RuntimeKind kind);
@@ -274,12 +272,10 @@ class ClusterConfigBuilder
      * colo::ConfigBuilder::admission; types spelled via pliant::
      * because the method name hides the namespace in class scope).
      */
-    ClusterConfigBuilder &
-    admission(pliant::admission::AdmissionConfig cfg);
-    ClusterConfigBuilder &
-    admission(pliant::admission::AdmissionKind policy,
-              pliant::admission::BatchingKind batching =
-                  pliant::admission::BatchingKind::None);
+    ClusterConfigBuilder &admission(pliant::admission::AdmissionConfig cfg);
+    ClusterConfigBuilder &admission(pliant::admission::AdmissionKind policy,
+                                    pliant::admission::BatchingKind batching =
+                                        pliant::admission::BatchingKind::None);
 
     /**
      * Enable cluster-wide budgets (see budget::BudgetConfig; types
@@ -288,8 +284,7 @@ class ClusterConfigBuilder
      */
     ClusterConfigBuilder &budget(pliant::budget::BudgetConfig cfg);
     ClusterConfigBuilder &budget(pliant::budget::BudgetPolicy policy,
-                                 double quality_budget,
-                                 double shed_budget);
+                                 double quality_budget, double shed_budget);
 
     ClusterConfigBuilder &epoch(sim::Time epoch);
     ClusterConfigBuilder &decisionInterval(sim::Time interval);
@@ -352,10 +347,7 @@ class Cluster
     }
 
     /** Resolved display name of node i. */
-    const std::string &nodeName(std::size_t i) const
-    {
-        return nodeNames[i];
-    }
+    const std::string &nodeName(std::size_t i) const { return nodeNames[i]; }
 
     /** Apps assigned to each node by the initial placement. */
     const std::vector<std::size_t> &initialAssignment() const
@@ -364,8 +356,7 @@ class Cluster
     }
 
     /** Per-node seed derivation (SplitMix64 of seed and index). */
-    static std::uint64_t nodeSeed(std::uint64_t clusterSeed,
-                                  std::size_t node);
+    static std::uint64_t nodeSeed(std::uint64_t clusterSeed, std::size_t node);
 
     /**
      * Attach a span-trace writer (non-owning; null detaches). Call
@@ -377,8 +368,8 @@ class Cluster
 
   private:
     std::vector<NodeStatus> gatherStatuses() const;
-    void applyMigration(const MigrationDecision &decision,
-                        sim::Time now, ClusterResult &out);
+    void applyMigration(const MigrationDecision &decision, sim::Time now,
+                        ClusterResult &out);
 
     /**
      * Budget step at an epoch barrier (no-op when disabled): derive
@@ -390,7 +381,7 @@ class Cluster
     ClusterConfig cfg;
     std::unique_ptr<PlacementPolicy> policy;
     std::unique_ptr<budget::Controller> budgeter; ///< null: disabled
-    std::vector<std::size_t> assignment; ///< app index -> node index
+    std::vector<std::size_t> assignment;          ///< app index -> node index
     std::vector<colo::ColoConfig> nodeConfigs;
     std::vector<std::string> nodeNames;
     std::vector<std::unique_ptr<colo::Engine>> engines;
@@ -432,9 +423,8 @@ runClusters(const std::vector<ClusterConfig> &configs,
  * Aggregate cluster results into a util::TextTable, one row per
  * result, labeled by the caller-provided row names.
  */
-util::TextTable
-clusterTable(const std::vector<std::string> &labels,
-             const std::vector<ClusterResult> &results);
+util::TextTable clusterTable(const std::vector<std::string> &labels,
+                             const std::vector<ClusterResult> &results);
 
 } // namespace cluster
 } // namespace pliant

@@ -45,12 +45,10 @@ class ConfigBuilder
     ConfigBuilder() = default;
 
     /** Append an interactive tenant named after its kind. */
-    ConfigBuilder &service(services::ServiceKind kind,
-                           Scenario scenario);
+    ConfigBuilder &service(services::ServiceKind kind, Scenario scenario);
 
     /** Append a named interactive tenant (enables same-kind shards). */
-    ConfigBuilder &service(std::string name,
-                           services::ServiceKind kind,
+    ConfigBuilder &service(std::string name, services::ServiceKind kind,
                            Scenario scenario);
 
     /** Append one approximate app, starting precise. */
@@ -94,14 +92,12 @@ class ConfigBuilder
      * spelled via pliant:: because the method name `admission`
      * hides the namespace inside this class scope.)
      */
-    ConfigBuilder &
-    admission(pliant::admission::AdmissionConfig cfg);
+    ConfigBuilder &admission(pliant::admission::AdmissionConfig cfg);
 
     /** Enable admission with the given policies, defaults elsewhere. */
-    ConfigBuilder &
-    admission(pliant::admission::AdmissionKind policy,
-              pliant::admission::BatchingKind batching =
-                  pliant::admission::BatchingKind::None);
+    ConfigBuilder &admission(pliant::admission::AdmissionKind policy,
+                             pliant::admission::BatchingKind batching =
+                                 pliant::admission::BatchingKind::None);
 
     /**
      * Observability knobs (metrics registry, opt-in tick-phase

@@ -48,35 +48,30 @@ expectIdenticalColo(const colo::ColoResult &a, const colo::ColoResult &b)
     ASSERT_EQ(a.services.size(), b.services.size());
     for (std::size_t s = 0; s < a.services.size(); ++s) {
         EXPECT_EQ(a.services[s].name, b.services[s].name);
-        EXPECT_EQ(a.services[s].overallP99Us,
-                  b.services[s].overallP99Us);
+        EXPECT_EQ(a.services[s].overallP99Us, b.services[s].overallP99Us);
         EXPECT_EQ(a.services[s].steadyP99Us, b.services[s].steadyP99Us);
         EXPECT_EQ(a.services[s].meanIntervalP99Us,
                   b.services[s].meanIntervalP99Us);
-        EXPECT_EQ(a.services[s].qosMetFraction,
-                  b.services[s].qosMetFraction);
+        EXPECT_EQ(a.services[s].qosMetFraction, b.services[s].qosMetFraction);
     }
     ASSERT_EQ(a.apps.size(), b.apps.size());
     for (std::size_t i = 0; i < a.apps.size(); ++i) {
         EXPECT_EQ(a.apps[i].name, b.apps[i].name);
         EXPECT_EQ(a.apps[i].finished, b.apps[i].finished);
         EXPECT_EQ(a.apps[i].inaccuracy, b.apps[i].inaccuracy);
-        EXPECT_EQ(a.apps[i].relativeExecTime,
-                  b.apps[i].relativeExecTime);
+        EXPECT_EQ(a.apps[i].relativeExecTime, b.apps[i].relativeExecTime);
         EXPECT_EQ(a.apps[i].switches, b.apps[i].switches);
     }
     ASSERT_EQ(a.timeline.size(), b.timeline.size());
     for (std::size_t i = 0; i < a.timeline.size(); ++i) {
         EXPECT_EQ(a.timeline[i].t, b.timeline[i].t);
         EXPECT_EQ(a.timeline[i].p99Us, b.timeline[i].p99Us);
-        EXPECT_EQ(a.timeline[i].loadFraction,
-                  b.timeline[i].loadFraction);
+        EXPECT_EQ(a.timeline[i].loadFraction, b.timeline[i].loadFraction);
         EXPECT_EQ(a.timeline[i].variantOf, b.timeline[i].variantOf);
         EXPECT_EQ(a.timeline[i].reclaimed, b.timeline[i].reclaimed);
         ASSERT_EQ(a.timeline[i].services.size(),
                   b.timeline[i].services.size());
-        for (std::size_t s = 0; s < a.timeline[i].services.size();
-             ++s) {
+        for (std::size_t s = 0; s < a.timeline[i].services.size(); ++s) {
             EXPECT_EQ(a.timeline[i].services[s].p99Us,
                       b.timeline[i].services[s].p99Us);
             EXPECT_EQ(a.timeline[i].services[s].loadFraction,
@@ -130,9 +125,9 @@ acceptanceConfig(PlacementKind placement, core::RuntimeKind runtime,
     for (int n = 0; n < 3; ++n) {
         builder.node();
         builder.service(services::ServiceKind::Memcached,
-                        n == 0 ? colo::Scenario::flashCrowd(
-                                     0.45, 0.97, 20 * kS, 3 * kS,
-                                     40 * kS, 10 * kS)
+                        n == 0 ? colo::Scenario::flashCrowd(0.45, 0.97,
+                                                            20 * kS, 3 * kS,
+                                                            40 * kS, 10 * kS)
                                : colo::Scenario::constant(0.45));
         builder.service(services::ServiceKind::Nginx,
                         colo::Scenario::constant(0.45));
@@ -161,19 +156,16 @@ TEST(ClusterValidationTest, RejectsZeroNodeCluster)
 
 TEST(ClusterValidationTest, RejectsNodeWithoutServices)
 {
-    EXPECT_THROW(ClusterConfigBuilder()
-                     .nodes(2)
-                     .apps({"canneal"})
-                     .build(),
+    EXPECT_THROW(ClusterConfigBuilder().nodes(2).apps({"canneal"}).build(),
                  util::FatalError);
 }
 
 TEST(ClusterValidationTest, RejectsServiceBeforeNode)
 {
-    EXPECT_THROW(ClusterConfigBuilder().service(
-                     services::ServiceKind::Memcached,
-                     colo::Scenario::constant(0.5)),
-                 util::FatalError);
+    EXPECT_THROW(
+        ClusterConfigBuilder().service(services::ServiceKind::Memcached,
+                                       colo::Scenario::constant(0.5)),
+        util::FatalError);
 }
 
 TEST(ClusterValidationTest, RejectsEpochShorterThanInterval)
@@ -227,9 +219,8 @@ TEST(ClusterRegressionTest, SingleNodeClusterEqualsBareEngine)
         ClusterConfigBuilder()
             .node("solo")
             .service(services::ServiceKind::Memcached,
-                     colo::Scenario::flashCrowd(0.60, 0.95, 30 * kS,
-                                                3 * kS, 20 * kS,
-                                                10 * kS))
+                     colo::Scenario::flashCrowd(0.60, 0.95, 30 * kS, 3 * kS,
+                                                20 * kS, 10 * kS))
             .service(services::ServiceKind::Nginx,
                      colo::Scenario::constant(0.65))
             .apps({"canneal", "bayesian"})
@@ -258,13 +249,11 @@ TEST(ClusterRegressionTest, SingleNodeClusterEqualsBareEngine)
 
 TEST(ClusterDeterminismTest, QosAwareSweepIdenticalAt1And6Threads)
 {
-    const auto one = Cluster(acceptanceConfig(
-                                 PlacementKind::QosAware,
-                                 core::RuntimeKind::Precise, 1))
+    const auto one = Cluster(acceptanceConfig(PlacementKind::QosAware,
+                                              core::RuntimeKind::Precise, 1))
                          .run();
-    const auto many = Cluster(acceptanceConfig(
-                                  PlacementKind::QosAware,
-                                  core::RuntimeKind::Precise, 6))
+    const auto many = Cluster(acceptanceConfig(PlacementKind::QosAware,
+                                               core::RuntimeKind::Precise, 6))
                           .run();
     // The run must actually exercise the migration path for this to
     // pin anything interesting.
@@ -278,13 +267,11 @@ TEST(ClusterDeterminismTest, LearnedRunWithMigrationIdenticalAt1And6Threads)
     // state across the migration this cluster performs; both the
     // model transfer and the relief predictions feeding the QoS-aware
     // policy must stay byte-identical at any worker thread count.
-    const auto one = Cluster(acceptanceConfig(
-                                 PlacementKind::QosAware,
-                                 core::RuntimeKind::Learned, 1))
+    const auto one = Cluster(acceptanceConfig(PlacementKind::QosAware,
+                                              core::RuntimeKind::Learned, 1))
                          .run();
-    const auto many = Cluster(acceptanceConfig(
-                                  PlacementKind::QosAware,
-                                  core::RuntimeKind::Learned, 6))
+    const auto many = Cluster(acceptanceConfig(PlacementKind::QosAware,
+                                               core::RuntimeKind::Learned, 6))
                           .run();
     // The run must exercise the migration (and thus the learned
     // model checkpoint/restore path) for this to pin anything.
@@ -317,11 +304,10 @@ TEST(ClusterDeterminismTest, LearnedSweepBatchIdenticalAt1And6Threads)
 TEST(ClusterDeterminismTest, BatchSweepIdenticalAt1And6Threads)
 {
     std::vector<ClusterConfig> configs;
-    for (auto placement : {PlacementKind::Static,
-                           PlacementKind::LeastLoaded,
+    for (auto placement : {PlacementKind::Static, PlacementKind::LeastLoaded,
                            PlacementKind::QosAware})
-        configs.push_back(acceptanceConfig(
-            placement, core::RuntimeKind::Pliant, 1));
+        configs.push_back(
+            acceptanceConfig(placement, core::RuntimeKind::Pliant, 1));
 
     driver::SweepOptions serial;
     serial.threads = 1;
@@ -340,8 +326,8 @@ TEST(ClusterDeterminismTest, AdmissionRunIdenticalAt1And6Threads)
     // The admission front-end adds per-tenant queue state (SplitMix64
     // arrival jitter, gate state, interval counters) that must stay
     // byte-identical at any worker thread count, migrations included.
-    ClusterConfig one_cfg = acceptanceConfig(
-        PlacementKind::QosAware, core::RuntimeKind::Precise, 1);
+    ClusterConfig one_cfg = acceptanceConfig(PlacementKind::QosAware,
+                                             core::RuntimeKind::Precise, 1);
     one_cfg.admission.enabled = true;
     one_cfg.admission.policy = admission::AdmissionKind::QosShed;
     ClusterConfig many_cfg = one_cfg;
@@ -366,9 +352,8 @@ TEST(ClusterRegressionTest, SingleNodeClusterWithAdmissionEqualsBareEngine)
         ClusterConfigBuilder()
             .node("solo")
             .service(services::ServiceKind::Memcached,
-                     colo::Scenario::flashCrowd(0.45, 1.15, 10 * kS,
-                                                3 * kS, 25 * kS,
-                                                5 * kS))
+                     colo::Scenario::flashCrowd(0.45, 1.15, 10 * kS, 3 * kS,
+                                                25 * kS, 5 * kS))
             .service(services::ServiceKind::Nginx,
                      colo::Scenario::constant(0.45))
             .apps({"canneal", "bayesian"})
@@ -391,8 +376,7 @@ TEST(ClusterRegressionTest, SingleNodeClusterWithAdmissionEqualsBareEngine)
     ASSERT_EQ(r.nodes.size(), 1u);
     expectIdenticalColo(r.nodes[0].result, direct);
     // The admission rollups are part of the contract too.
-    ASSERT_EQ(r.nodes[0].result.services.size(),
-              direct.services.size());
+    ASSERT_EQ(r.nodes[0].result.services.size(), direct.services.size());
     for (std::size_t s = 0; s < direct.services.size(); ++s) {
         EXPECT_EQ(r.nodes[0].result.services[s].shedFraction,
                   direct.services[s].shedFraction);
@@ -404,8 +388,8 @@ TEST(ClusterRegressionTest, SingleNodeClusterWithAdmissionEqualsBareEngine)
 
 TEST(ClusterPlacementTest, StaticAssignsRoundRobin)
 {
-    Cluster cl(acceptanceConfig(PlacementKind::Static,
-                                core::RuntimeKind::Pliant, 1));
+    Cluster cl(
+        acceptanceConfig(PlacementKind::Static, core::RuntimeKind::Pliant, 1));
     const auto &assignment = cl.initialAssignment();
     ASSERT_EQ(assignment.size(), 6u);
     for (std::size_t a = 0; a < assignment.size(); ++a)
@@ -421,14 +405,11 @@ TEST(ClusterPlacementTest, LeastLoadedBalancesNominalWork)
     // work across nodes is closer than one max-size app.
     std::vector<double> work(3, 0.0);
     std::vector<int> count(3, 0);
-    const std::vector<std::string> apps = {"canneal", "bayesian",
-                                           "snp", "kmeans",
-                                           "raytrace",
-                                           "streamcluster"};
+    const std::vector<std::string> apps = {
+        "canneal", "bayesian", "snp", "kmeans", "raytrace", "streamcluster"};
     double heaviest = 0.0;
     for (std::size_t a = 0; a < apps.size(); ++a) {
-        const double w =
-            approx::findProfile(apps[a]).nominalExecSeconds;
+        const double w = approx::findProfile(apps[a]).nominalExecSeconds;
         work[assignment[a]] += w;
         ++count[assignment[a]];
         heaviest = std::max(heaviest, w);
@@ -506,8 +487,7 @@ TEST(ClusterIdleNodeTest, AppLessNodesKeepServingAndReporting)
         // Every node — app-less ones included — simulated its
         // service and produced interval reports.
         EXPECT_FALSE(node.result.timeline.empty()) << node.name;
-        EXPECT_GT(node.result.services[0].meanIntervalP99Us, 0.0)
-            << node.name;
+        EXPECT_GT(node.result.services[0].meanIntervalP99Us, 0.0) << node.name;
     }
     EXPECT_EQ(hosting, 1);
 }
@@ -521,20 +501,19 @@ TEST(ClusterIdleNodeTest, AppLessNodeIsAValidMigrationTarget)
     for (int n = 0; n < 3; ++n) {
         builder.node();
         builder.service(services::ServiceKind::Memcached,
-                        n == 0 ? colo::Scenario::flashCrowd(
-                                     0.45, 0.97, 20 * kS, 3 * kS,
-                                     40 * kS, 10 * kS)
+                        n == 0 ? colo::Scenario::flashCrowd(0.45, 0.97,
+                                                            20 * kS, 3 * kS,
+                                                            40 * kS, 10 * kS)
                                : colo::Scenario::constant(0.45));
     }
-    const ClusterResult r =
-        Cluster(builder.apps({"bayesian", "snp"})
-                    .runtime(core::RuntimeKind::Precise)
-                    .placement(PlacementKind::QosAware)
-                    .epoch(5 * kS)
-                    .maxDuration(120 * kS)
-                    .seed(71)
-                    .build())
-            .run();
+    const ClusterResult r = Cluster(builder.apps({"bayesian", "snp"})
+                                        .runtime(core::RuntimeKind::Precise)
+                                        .placement(PlacementKind::QosAware)
+                                        .epoch(5 * kS)
+                                        .maxDuration(120 * kS)
+                                        .seed(71)
+                                        .build())
+                                .run();
 
     ASSERT_FALSE(r.migrations.empty());
     EXPECT_EQ(r.migrations.front().from, 0u);
@@ -582,8 +561,7 @@ TEST(ClusterMigrationTest, TimelineCsvAttributesSlotsThroughRoster)
     ASSERT_GE(dst.rosterChanges.size(), 2u);
     const auto &arrival = dst.rosterChanges.back();
     EXPECT_EQ(arrival.t, mig.t);
-    EXPECT_NE(std::find(arrival.apps.begin(), arrival.apps.end(),
-                        mig.app),
+    EXPECT_NE(std::find(arrival.apps.begin(), arrival.apps.end(), mig.app),
               arrival.apps.end());
 
     // ... and the CSV keys the migrant's column by name, with "-"
