@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <exception>
 
 #include "driver/pool.hh"
@@ -52,22 +51,7 @@ validateClusterConfig(const ClusterConfig &cfg)
                             resolvedNodeName(cfg.nodes[i], i),
                             "' in cluster config");
     }
-    if (cfg.decisionInterval <= 0)
-        util::fatal("decision interval must be positive");
-    if (cfg.tick <= 0)
-        util::fatal("simulation tick must be positive");
-    // Floating-point checks are negated in-range tests, so NaN fails.
-    if (!(cfg.slackThreshold >= 0.0) || !std::isfinite(cfg.slackThreshold))
-        util::fatal("slack threshold must be finite and non-negative "
-                    "(got ",
-                    cfg.slackThreshold, ")");
-    if (cfg.decisionInterval < cfg.tick)
-        util::fatal("decision interval (",
-                    sim::toSeconds(cfg.decisionInterval),
-                    " s) must be at least one simulation tick (",
-                    sim::toSeconds(cfg.tick), " s)");
-    if (cfg.maxDuration <= 0)
-        util::fatal("max duration must be positive");
+    colo::validateEngineKnobs(cfg);
     if (cfg.epoch <= 0)
         util::fatal("cluster epoch must be positive");
     if (cfg.epoch < cfg.decisionInterval)
@@ -76,7 +60,6 @@ validateClusterConfig(const ClusterConfig &cfg)
                     sim::toSeconds(cfg.decisionInterval),
                     " s): placement acts on closed interval reports");
     // Inert when disabled; every field checked when enabled.
-    admission::validateAdmissionConfig(cfg.admission);
     budget::validateBudgetConfig(cfg.budget);
     if (cfg.budget.enabled && cfg.nodes.size() < 2)
         util::fatal("cluster-wide budgets need at least 2 nodes to "
@@ -118,20 +101,9 @@ Cluster::Cluster(ClusterConfig config) : cfg(std::move(config))
         nodeNames.push_back(resolvedNodeName(cfg.nodes[i], i));
 
         colo::ColoConfig nc;
+        static_cast<colo::EngineKnobs &>(nc) = cfg;
         nc.services = cfg.nodes[i].services;
         nc.spec = cfg.nodes[i].spec;
-        nc.runtime = cfg.runtime;
-        nc.arbiter = cfg.arbiter;
-        nc.learnedVector = cfg.learnedVector;
-        nc.decisionInterval = cfg.decisionInterval;
-        nc.slackThreshold = cfg.slackThreshold;
-        nc.tick = cfg.tick;
-        nc.maxDuration = cfg.maxDuration;
-        nc.enableCachePartitioning = cfg.enableCachePartitioning;
-        nc.admission = cfg.admission;
-        nc.fastSampling = cfg.fastSampling;
-        nc.retainTimeline = cfg.retainTimeline;
-        nc.observability = cfg.observability;
         nc.seed = nodeSeed(cfg.seed, i);
         for (std::size_t a = 0; a < cfg.apps.size(); ++a) {
             if (assignment[a] != i)
@@ -594,49 +566,9 @@ ClusterConfigBuilder::apps(const std::vector<std::string> &names)
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::runtime(core::RuntimeKind kind)
-{
-    cfg.runtime = kind;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::arbiter(core::ArbiterKind kind)
-{
-    cfg.arbiter = kind;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::learnedVector(bool enable)
-{
-    cfg.learnedVector = enable;
-    return *this;
-}
-
-ClusterConfigBuilder &
 ClusterConfigBuilder::placement(PlacementKind kind)
 {
     cfg.placement = kind;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::admission(
-    pliant::admission::AdmissionConfig admission_cfg)
-{
-    cfg.admission = std::move(admission_cfg);
-    cfg.admission.enabled = true;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::admission(pliant::admission::AdmissionKind policy,
-                                pliant::admission::BatchingKind batching)
-{
-    cfg.admission.enabled = true;
-    cfg.admission.policy = policy;
-    cfg.admission.batching = batching;
     return *this;
 }
 
@@ -667,41 +599,6 @@ ClusterConfigBuilder::epoch(sim::Time epoch)
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::decisionInterval(sim::Time interval)
-{
-    cfg.decisionInterval = interval;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::slackThreshold(double threshold)
-{
-    cfg.slackThreshold = threshold;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::tick(sim::Time tick)
-{
-    cfg.tick = tick;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::maxDuration(sim::Time duration)
-{
-    cfg.maxDuration = duration;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::cachePartitioning(bool enable)
-{
-    cfg.enableCachePartitioning = enable;
-    return *this;
-}
-
-ClusterConfigBuilder &
 ClusterConfigBuilder::seed(std::uint64_t seed)
 {
     cfg.seed = seed;
@@ -712,34 +609,6 @@ ClusterConfigBuilder &
 ClusterConfigBuilder::threads(unsigned threads)
 {
     cfg.threads = threads;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::fastSampling(bool enable)
-{
-    cfg.fastSampling = enable;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::retainTimeline(bool enable)
-{
-    cfg.retainTimeline = enable;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::observability(obs::ObsConfig obs_cfg)
-{
-    cfg.observability = obs_cfg;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::observability(bool metrics)
-{
-    cfg.observability.metrics = metrics;
     return *this;
 }
 

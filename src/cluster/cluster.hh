@@ -31,6 +31,7 @@
 
 #include "budget/budget.hh"
 #include "cluster/placement.hh"
+#include "colo/builder.hh"
 #include "colo/engine.hh"
 #include "driver/sweep.hh"
 
@@ -50,9 +51,20 @@ struct NodeSpec
     std::vector<colo::ServiceSpec> services;
 };
 
-/** Cluster-wide experiment configuration. */
-struct ClusterConfig
+/**
+ * Cluster-wide experiment configuration. Every node runs one engine
+ * with the same knobs, so the colo::EngineKnobs base is the per-node
+ * engine configuration, copied into each node's ColoConfig as is
+ * (see colo::EngineKnobs for each field). Two knobs differ from a
+ * single node: `retainTimeline` defaults off here, because at 1000
+ * nodes the retained series is the binding memory constraint (every
+ * rollup is identical either way), and `observability` also turns
+ * on the cluster layer's own registry.
+ */
+struct ClusterConfig : colo::EngineKnobs
 {
+    ClusterConfig() { retainTimeline = false; }
+
     std::vector<NodeSpec> nodes;
 
     /** Catalog names of the approximate apps to place. */
@@ -61,30 +73,6 @@ struct ClusterConfig
     /** Optional per-app starting variants (parallel to `apps`). */
     std::vector<int> initialVariants;
 
-    core::RuntimeKind runtime = core::RuntimeKind::Pliant;
-    core::ArbiterKind arbiter = core::ArbiterKind::RoundRobin;
-
-    /**
-     * Learned runtime: vector-conditioned per-service models
-     * (default) vs the collapsed worst-ratio baseline; see
-     * colo::ColoConfig::learnedVector.
-     */
-    bool learnedVector = true;
-
-    sim::Time decisionInterval = sim::kSecond;
-    double slackThreshold = 0.10;
-    sim::Time tick = 10 * sim::kMillisecond;
-    sim::Time maxDuration = 600 * sim::kSecond;
-    bool enableCachePartitioning = false;
-
-    /**
-     * Request-level admission control & batching front-end, applied
-     * to every interactive tenant on every node (see
-     * colo::ColoConfig::admission). Disabled by default; disabled
-     * clusters are byte-identical to pre-admission ones.
-     */
-    admission::AdmissionConfig admission;
-
     /**
      * Cluster-wide quality/shed budgets, allocated per epoch by a
      * budget::Controller alongside placement (see src/budget/).
@@ -92,14 +80,6 @@ struct ClusterConfig
      * pre-budget ones.
      */
     budget::BudgetConfig budget;
-
-    /**
-     * Observability knobs, applied to the cluster layer AND copied
-     * to every node engine (see colo::ColoConfig::observability).
-     * Disabled by default; disabled clusters are byte-identical to
-     * pre-observability ones.
-     */
-    obs::ObsConfig observability;
 
     /** How apps land on nodes, and whether they move. */
     PlacementKind placement = PlacementKind::Static;
@@ -114,30 +94,14 @@ struct ClusterConfig
 
     /** Worker threads for node execution; 0 = Pool default. */
     unsigned threads = 0;
-
-    /**
-     * Table-driven samplers on every node (see
-     * colo::ColoConfig::fastSampling). NOT byte-identical; keep off
-     * for golden-pinned runs.
-     */
-    bool fastSampling = false;
-
-    /**
-     * Keep every node's per-tick TimePoint series (see
-     * colo::ColoConfig::retainTimeline). Clusters default OFF —
-     * at 1000 nodes the retained series is the binding memory
-     * constraint — and every summary/rollup is identical either way
-     * because nodes accumulate them online. Turn on for per-tick CSV
-     * export or timeline-level debugging.
-     */
-    bool retainTimeline = false;
 };
 
 /**
  * Validate a ClusterConfig (throws util::FatalError): at least one
  * node, at least one app, every node hosts a service, unique node
- * names, valid epoch, plus the per-app catalog/variant checks shared
- * with the single-node layer.
+ * names, then the checks shared with the single-node layer (the
+ * per-app catalog/variant checks and colo::validateEngineKnobs),
+ * then a valid epoch and budget.
  */
 void validateClusterConfig(const ClusterConfig &cfg);
 
@@ -231,6 +195,7 @@ struct ClusterResult
  *           .build();
  */
 class ClusterConfigBuilder
+    : public colo::EngineKnobSetters<ClusterConfigBuilder, ClusterConfig>
 {
   public:
     ClusterConfigBuilder() = default;
@@ -260,52 +225,20 @@ class ClusterConfigBuilder
     ClusterConfigBuilder &app(const std::string &name, int initialVariant);
     ClusterConfigBuilder &apps(const std::vector<std::string> &names);
 
-    ClusterConfigBuilder &runtime(core::RuntimeKind kind);
-    ClusterConfigBuilder &arbiter(core::ArbiterKind kind);
-
-    /** Learned runtime: vector-conditioned (default) vs worst-ratio. */
-    ClusterConfigBuilder &learnedVector(bool enable = true);
     ClusterConfigBuilder &placement(PlacementKind kind);
-
-    /**
-     * Enable the admission front-end cluster-wide (see
-     * colo::ConfigBuilder::admission; types spelled via pliant::
-     * because the method name hides the namespace in class scope).
-     */
-    ClusterConfigBuilder &admission(pliant::admission::AdmissionConfig cfg);
-    ClusterConfigBuilder &admission(pliant::admission::AdmissionKind policy,
-                                    pliant::admission::BatchingKind batching =
-                                        pliant::admission::BatchingKind::None);
 
     /**
      * Enable cluster-wide budgets (see budget::BudgetConfig; types
      * spelled via pliant:: because the method name hides the
-     * namespace in class scope, the admission() pattern).
+     * namespace in class scope).
      */
     ClusterConfigBuilder &budget(pliant::budget::BudgetConfig cfg);
     ClusterConfigBuilder &budget(pliant::budget::BudgetPolicy policy,
                                  double quality_budget, double shed_budget);
 
     ClusterConfigBuilder &epoch(sim::Time epoch);
-    ClusterConfigBuilder &decisionInterval(sim::Time interval);
-    ClusterConfigBuilder &slackThreshold(double threshold);
-    ClusterConfigBuilder &tick(sim::Time tick);
-    ClusterConfigBuilder &maxDuration(sim::Time duration);
-    ClusterConfigBuilder &cachePartitioning(bool enable = true);
     ClusterConfigBuilder &seed(std::uint64_t seed);
     ClusterConfigBuilder &threads(unsigned threads);
-
-    /** Table-driven samplers on every node (NOT byte-identical). */
-    ClusterConfigBuilder &fastSampling(bool enable = true);
-
-    /** Retain per-tick series on every node (default off). */
-    ClusterConfigBuilder &retainTimeline(bool enable = true);
-
-    /** Observability knobs, cluster layer + every node (default off). */
-    ClusterConfigBuilder &observability(obs::ObsConfig cfg);
-
-    /** Enable the metrics registry with default knobs. */
-    ClusterConfigBuilder &observability(bool metrics = true);
 
     /** Validate and return the config (throws util::FatalError). */
     ClusterConfig build() const;
@@ -313,7 +246,6 @@ class ClusterConfigBuilder
   private:
     NodeSpec &lastNode();
 
-    ClusterConfig cfg;
     bool anyVariantPinned = false;
 };
 

@@ -49,55 +49,6 @@ ConfigBuilder::apps(const std::vector<std::string> &names)
 }
 
 ConfigBuilder &
-ConfigBuilder::runtime(core::RuntimeKind kind)
-{
-    cfg.runtime = kind;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::arbiter(core::ArbiterKind kind)
-{
-    cfg.arbiter = kind;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::learnedVector(bool enable)
-{
-    cfg.learnedVector = enable;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::decisionInterval(sim::Time interval)
-{
-    cfg.decisionInterval = interval;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::slackThreshold(double threshold)
-{
-    cfg.slackThreshold = threshold;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::tick(sim::Time tick)
-{
-    cfg.tick = tick;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::maxDuration(sim::Time duration)
-{
-    cfg.maxDuration = duration;
-    return *this;
-}
-
-ConfigBuilder &
 ConfigBuilder::seed(std::uint64_t seed)
 {
     cfg.seed = seed;
@@ -111,59 +62,6 @@ ConfigBuilder::spec(server::ServerSpec spec)
     return *this;
 }
 
-ConfigBuilder &
-ConfigBuilder::cachePartitioning(bool enable)
-{
-    cfg.enableCachePartitioning = enable;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::fastSampling(bool enable)
-{
-    cfg.fastSampling = enable;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::retainTimeline(bool enable)
-{
-    cfg.retainTimeline = enable;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::admission(pliant::admission::AdmissionConfig admission_cfg)
-{
-    cfg.admission = std::move(admission_cfg);
-    cfg.admission.enabled = true;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::admission(pliant::admission::AdmissionKind policy,
-                         pliant::admission::BatchingKind batching)
-{
-    cfg.admission.enabled = true;
-    cfg.admission.policy = policy;
-    cfg.admission.batching = batching;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::observability(obs::ObsConfig obs_cfg)
-{
-    cfg.observability = obs_cfg;
-    return *this;
-}
-
-ConfigBuilder &
-ConfigBuilder::observability(bool metrics)
-{
-    cfg.observability.metrics = metrics;
-    return *this;
-}
-
 ColoConfig
 ConfigBuilder::build() const
 {
@@ -173,9 +71,8 @@ ConfigBuilder::build() const
     // configs stay byte-identical to hand-written ones.
     if (!anyVariantPinned)
         built.initialVariants.clear();
-    // validateConfig covers timing (positivity, interval >= tick) as
-    // of the tick-loop-safety pass, so raw structs and built configs
-    // fail with the same messages.
+    // validateConfig covers timing (positivity, interval >= tick),
+    // so raw structs and built configs fail with the same messages.
     validateConfig(built);
     return built;
 }

@@ -15,12 +15,142 @@
 #define PLIANT_COLO_BUILDER_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "colo/engine.hh"
 
 namespace pliant {
 namespace colo {
+
+/**
+ * The setters of every EngineKnobs field, shared by ConfigBuilder
+ * and cluster::ClusterConfigBuilder. `Builder` is the deriving
+ * builder (CRTP), so each setter returns it and chains keep its own
+ * methods; `Config` is the config it builds, held here as `cfg`.
+ * (Types are spelled via pliant:: where a method name such as
+ * `admission` hides the namespace inside this class scope.)
+ */
+template <typename Builder, typename Config> class EngineKnobSetters
+{
+  public:
+    Builder &runtime(core::RuntimeKind kind)
+    {
+        cfg.runtime = kind;
+        return self();
+    }
+
+    Builder &arbiter(core::ArbiterKind kind)
+    {
+        cfg.arbiter = kind;
+        return self();
+    }
+
+    /** Learned runtime: vector-conditioned (default) vs worst-ratio. */
+    Builder &learnedVector(bool enable = true)
+    {
+        cfg.learnedVector = enable;
+        return self();
+    }
+
+    Builder &decisionInterval(sim::Time interval)
+    {
+        cfg.decisionInterval = interval;
+        return self();
+    }
+
+    Builder &slackThreshold(double threshold)
+    {
+        cfg.slackThreshold = threshold;
+        return self();
+    }
+
+    Builder &tick(sim::Time tick)
+    {
+        cfg.tick = tick;
+        return self();
+    }
+
+    Builder &maxDuration(sim::Time duration)
+    {
+        cfg.maxDuration = duration;
+        return self();
+    }
+
+    Builder &cachePartitioning(bool enable = true)
+    {
+        cfg.enableCachePartitioning = enable;
+        return self();
+    }
+
+    /**
+     * Table-driven samplers (NOT byte-identical; keep off for
+     * golden-pinned runs).
+     */
+    Builder &fastSampling(bool enable = true)
+    {
+        cfg.fastSampling = enable;
+        return self();
+    }
+
+    /**
+     * Keep the per-tick TimePoint series (on by default for a
+     * ColoConfig, off for a ClusterConfig). Summaries are
+     * accumulated online either way, so this changes memory, not
+     * numbers; writeTimelineCsv needs it on.
+     */
+    Builder &retainTimeline(bool enable = true)
+    {
+        cfg.retainTimeline = enable;
+        return self();
+    }
+
+    /**
+     * Enable the admission front-end with the given (possibly
+     * customized) config; build() validates its fields.
+     */
+    Builder &admission(pliant::admission::AdmissionConfig admission_cfg)
+    {
+        cfg.admission = std::move(admission_cfg);
+        cfg.admission.enabled = true;
+        return self();
+    }
+
+    /** Enable admission with the given policies, defaults elsewhere. */
+    Builder &admission(pliant::admission::AdmissionKind policy,
+                       pliant::admission::BatchingKind batching =
+                           pliant::admission::BatchingKind::None)
+    {
+        cfg.admission.enabled = true;
+        cfg.admission.policy = policy;
+        cfg.admission.batching = batching;
+        return self();
+    }
+
+    /**
+     * Observability knobs (metrics registry, opt-in tick-phase
+     * spans). Default-off; a disabled config runs the exact pre-obs
+     * code path.
+     */
+    Builder &observability(obs::ObsConfig obs_cfg)
+    {
+        cfg.observability = obs_cfg;
+        return self();
+    }
+
+    /** Enable the metrics registry with default knobs. */
+    Builder &observability(bool metrics = true)
+    {
+        cfg.observability.metrics = metrics;
+        return self();
+    }
+
+  protected:
+    Config cfg;
+
+  private:
+    Builder &self() { return static_cast<Builder &>(*this); }
+};
 
 /**
  * Builder for ColoConfig. Example:
@@ -39,7 +169,7 @@ namespace colo {
  *           .seed(71)
  *           .build();
  */
-class ConfigBuilder
+class ConfigBuilder : public EngineKnobSetters<ConfigBuilder, ColoConfig>
 {
   public:
     ConfigBuilder() = default;
@@ -60,54 +190,8 @@ class ConfigBuilder
     /** Append several apps, all starting precise. */
     ConfigBuilder &apps(const std::vector<std::string> &names);
 
-    ConfigBuilder &runtime(core::RuntimeKind kind);
-    ConfigBuilder &arbiter(core::ArbiterKind kind);
-
-    /** Learned runtime: vector-conditioned (default) vs worst-ratio. */
-    ConfigBuilder &learnedVector(bool enable = true);
-    ConfigBuilder &decisionInterval(sim::Time interval);
-    ConfigBuilder &slackThreshold(double threshold);
-    ConfigBuilder &tick(sim::Time tick);
-    ConfigBuilder &maxDuration(sim::Time duration);
     ConfigBuilder &seed(std::uint64_t seed);
     ConfigBuilder &spec(server::ServerSpec spec);
-    ConfigBuilder &cachePartitioning(bool enable = true);
-
-    /**
-     * Table-driven samplers (NOT byte-identical; keep off for
-     * golden-pinned runs).
-     */
-    ConfigBuilder &fastSampling(bool enable = true);
-
-    /**
-     * Keep the per-tick TimePoint series in ColoResult (default on).
-     * Summaries are accumulated online either way, so turning this
-     * off changes memory, not numbers; writeTimelineCsv needs it on.
-     */
-    ConfigBuilder &retainTimeline(bool enable = true);
-
-    /**
-     * Enable the admission front-end with the given (possibly
-     * customized) config; build() validates its fields. (Types are
-     * spelled via pliant:: because the method name `admission`
-     * hides the namespace inside this class scope.)
-     */
-    ConfigBuilder &admission(pliant::admission::AdmissionConfig cfg);
-
-    /** Enable admission with the given policies, defaults elsewhere. */
-    ConfigBuilder &admission(pliant::admission::AdmissionKind policy,
-                             pliant::admission::BatchingKind batching =
-                                 pliant::admission::BatchingKind::None);
-
-    /**
-     * Observability knobs (metrics registry, opt-in tick-phase
-     * spans). Default-off; a disabled config runs the exact pre-obs
-     * code path.
-     */
-    ConfigBuilder &observability(obs::ObsConfig cfg);
-
-    /** Enable the metrics registry with default knobs. */
-    ConfigBuilder &observability(bool metrics = true);
 
     /**
      * Validate and return the config. Throws util::FatalError with
@@ -117,7 +201,6 @@ class ConfigBuilder
     ColoConfig build() const;
 
   private:
-    ColoConfig cfg;
     /** Tracks whether any app() carried an explicit variant. */
     bool anyVariantPinned = false;
 };

@@ -200,6 +200,38 @@ validateAppList(const std::vector<std::string> &apps,
     }
 }
 
+void
+validateEngineKnobs(const EngineKnobs &knobs)
+{
+    // Floating-point checks are negated in-range tests, so NaN fails.
+    if (!(knobs.slackThreshold >= 0.0) || !std::isfinite(knobs.slackThreshold))
+        util::fatal("slack threshold must be finite and non-negative "
+                    "(got ",
+                    knobs.slackThreshold, ")");
+
+    // Timing is validated up front: a zero tick would spin the
+    // loop forever and a non-positive interval would never close a
+    // monitoring window — both are build-time errors, not tick-loop
+    // surprises.
+    if (knobs.tick <= 0)
+        util::fatal("simulation tick must be positive");
+    if (knobs.decisionInterval <= 0)
+        util::fatal("decision interval must be positive");
+    if (knobs.decisionInterval < knobs.tick)
+        util::fatal("decision interval (",
+                    sim::toSeconds(knobs.decisionInterval),
+                    " s) must be at least one simulation tick (",
+                    sim::toSeconds(knobs.tick), " s)");
+    if (knobs.maxDuration <= 0)
+        util::fatal("max duration must be positive");
+
+    // Admission fields are validated only when the front-end is
+    // enabled: a disabled config is inert whatever its fields hold,
+    // which keeps the disabled config space exactly the pre-admission
+    // one.
+    admission::validateAdmissionConfig(knobs.admission);
+}
+
 std::vector<ServiceSpec>
 validateConfig(const ColoConfig &cfg)
 {
@@ -225,33 +257,7 @@ validateConfig(const ColoConfig &cfg)
                             "' in colocation config: give same-kind "
                             "tenants distinct instance names");
     }
-    // Floating-point checks are negated in-range tests, so NaN fails.
-    if (!(cfg.slackThreshold >= 0.0) || !std::isfinite(cfg.slackThreshold))
-        util::fatal("slack threshold must be finite and non-negative "
-                    "(got ",
-                    cfg.slackThreshold, ")");
-
-    // Timing must be validated here too: a zero tick would spin the
-    // loop forever and a non-positive interval would never close a
-    // monitoring window — both are build-time errors, not tick-loop
-    // surprises.
-    if (cfg.tick <= 0)
-        util::fatal("simulation tick must be positive");
-    if (cfg.decisionInterval <= 0)
-        util::fatal("decision interval must be positive");
-    if (cfg.decisionInterval < cfg.tick)
-        util::fatal("decision interval (",
-                    sim::toSeconds(cfg.decisionInterval),
-                    " s) must be at least one simulation tick (",
-                    sim::toSeconds(cfg.tick), " s)");
-    if (cfg.maxDuration <= 0)
-        util::fatal("max duration must be positive");
-
-    // Admission fields are validated only when the front-end is
-    // enabled: a disabled config is inert whatever its fields hold,
-    // which keeps the disabled config space exactly the pre-admission
-    // one.
-    admission::validateAdmissionConfig(cfg.admission);
+    validateEngineKnobs(cfg);
 
     const int n_apps = static_cast<int>(cfg.apps.size());
     const int n_services = static_cast<int>(specs.size());

@@ -65,39 +65,16 @@ struct ServiceSpec
     }
 };
 
-/** Experiment configuration. */
-struct ColoConfig
+/**
+ * The engine knobs: how one node simulates and controls, as opposed
+ * to what it hosts. A cluster runs every node with the same knobs,
+ * so ColoConfig and cluster::ClusterConfig both derive from this
+ * struct, colo::validateEngineKnobs checks it for both, and the
+ * EngineKnobSetters builder mixin (colo/builder.hh) sets it for both
+ * builders: a new knob is one field here plus one setter there.
+ */
+struct EngineKnobs
 {
-    /**
-     * Legacy single-service fields: used only when `services` is
-     * empty, in which case the engine runs one `service` tenant at a
-     * constant `loadFraction` — exactly the paper's setup.
-     */
-    services::ServiceKind service = services::ServiceKind::Memcached;
-
-    /** Offered load as a fraction of the service's saturation. */
-    double loadFraction = 0.78;
-
-    /**
-     * The tenant list. When non-empty it overrides
-     * `service`/`loadFraction`; duplicate *resolved names* are
-     * rejected (their monitors and QoS targets would be
-     * indistinguishable in reports and traces), but several tenants
-     * of the same kind are fine once given distinct names.
-     */
-    std::vector<ServiceSpec> services;
-
-    /**
-     * Catalog names of the colocated approximate applications. May
-     * be empty only when `services` is non-empty: a cluster node
-     * whose placement assigned it no apps still hosts its services
-     * (the cluster drives such nodes with
-     * advanceUntil(keep_services_running); a bare run() of an
-     * app-less config ends immediately, as there is no work to wait
-     * for).
-     */
-    std::vector<std::string> apps;
-
     core::RuntimeKind runtime = core::RuntimeKind::Pliant;
     core::ArbiterKind arbiter = core::ArbiterKind::RoundRobin;
 
@@ -120,19 +97,6 @@ struct ColoConfig
 
     /** Safety cap on the experiment duration. */
     sim::Time maxDuration = 600 * sim::kSecond;
-
-    std::uint64_t seed = 1;
-
-    server::ServerSpec spec;
-
-    /**
-     * Optional per-app starting variants (parallel to `apps`). Used
-     * by the Fig. 1 static exploration, where each selected variant
-     * runs for the whole colocation; empty means all start precise.
-     * Validated up front: the list must match `apps` in size and
-     * every index must exist in the app's catalog variant list.
-     */
-    std::vector<int> initialVariants;
 
     /**
      * Section 6.5 extension: let the runtime isolate LLC ways for
@@ -185,6 +149,53 @@ struct ColoConfig
      * the registry once, at finalize(); the rest record live.
      */
     obs::ObsConfig observability;
+};
+
+/** Experiment configuration: the knobs plus what one node hosts. */
+struct ColoConfig : EngineKnobs
+{
+    /**
+     * Legacy single-service fields: used only when `services` is
+     * empty, in which case the engine runs one `service` tenant at a
+     * constant `loadFraction` — exactly the paper's setup.
+     */
+    services::ServiceKind service = services::ServiceKind::Memcached;
+
+    /** Offered load as a fraction of the service's saturation. */
+    double loadFraction = 0.78;
+
+    /**
+     * The tenant list. When non-empty it overrides
+     * `service`/`loadFraction`; duplicate *resolved names* are
+     * rejected (their monitors and QoS targets would be
+     * indistinguishable in reports and traces), but several tenants
+     * of the same kind are fine once given distinct names.
+     */
+    std::vector<ServiceSpec> services;
+
+    /**
+     * Catalog names of the colocated approximate applications. May
+     * be empty only when `services` is non-empty: a cluster node
+     * whose placement assigned it no apps still hosts its services
+     * (the cluster drives such nodes with
+     * advanceUntil(keep_services_running); a bare run() of an
+     * app-less config ends immediately, as there is no work to wait
+     * for).
+     */
+    std::vector<std::string> apps;
+
+    std::uint64_t seed = 1;
+
+    server::ServerSpec spec;
+
+    /**
+     * Optional per-app starting variants (parallel to `apps`). Used
+     * by the Fig. 1 static exploration, where each selected variant
+     * runs for the whole colocation; empty means all start precise.
+     * Validated up front: the list must match `apps` in size and
+     * every index must exist in the app's catalog variant list.
+     */
+    std::vector<int> initialVariants;
 };
 
 /** One service's slice of a sampled timeline point. */
@@ -403,13 +414,24 @@ void validateAppList(const std::vector<std::string> &apps,
                      const std::vector<int> &initialVariants);
 
 /**
+ * Validate the engine knobs (throws util::FatalError): a finite,
+ * non-negative slack threshold, a positive tick, decision interval
+ * and max duration, an interval of at least one tick, and (when
+ * enabled) the admission fields. validateConfig and
+ * cluster::validateClusterConfig both run it, so a bad knob fails
+ * with the same message on either layer.
+ */
+void validateEngineKnobs(const EngineKnobs &knobs);
+
+/**
  * Validate a ColoConfig and return the normalized tenant list (the
  * legacy single-service fields become one constant-load tenant).
  * Throws util::FatalError on: no apps with no services, duplicate
  * apps, unknown catalog names, initialVariants size or range
- * mismatches, duplicate resolved service names, and fair-core
- * starvation. Engine's constructor and the builders both run this
- * pass, so every error surfaces before the tick loop starts.
+ * mismatches, duplicate resolved service names, a bad engine knob
+ * (validateEngineKnobs), and fair-core starvation. Engine's
+ * constructor and the builders both run this pass, so every error
+ * surfaces before the tick loop starts.
  */
 std::vector<ServiceSpec> validateConfig(const ColoConfig &cfg);
 

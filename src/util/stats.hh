@@ -285,7 +285,9 @@ class P2Quantile
 
         for (int i = k + 1; i < 5; ++i)
             ++positions[i];
-        for (int i = 0; i < 5; ++i)
+        // Only the interior markers move; merge() rebuilds all five
+        // desired positions, so the outer two are not advanced here.
+        for (int i = 1; i <= 3; ++i)
             desired[i] += increments[i];
 
         for (int i = 1; i <= 3; ++i) {

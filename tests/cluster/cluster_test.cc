@@ -11,7 +11,9 @@
  *    inside one Cluster and across a driver::Sweep batch;
  *  - placement semantics: static round-robin and least-loaded LPT
  *    assignments, and pressure-driven migration off a crowded node
- *    with every app accounted for exactly once.
+ *    with every app accounted for exactly once;
+ *  - knob propagation: every colo::EngineKnobs field set on the
+ *    cluster reaches every node's ColoConfig.
  */
 
 #include "cluster/cluster.hh"
@@ -583,6 +585,83 @@ TEST(ClusterSeedTest, NodeSeedsMatchTheSweepDerivation)
     EXPECT_EQ(Cluster::nodeSeed(71, 2), driver::taskSeed(71, 2));
     EXPECT_NE(Cluster::nodeSeed(71, 0), Cluster::nodeSeed(71, 1));
     EXPECT_NE(Cluster::nodeSeed(71, 1), Cluster::nodeSeed(72, 1));
+}
+
+TEST(ClusterTest, EveryEngineKnobReachesEveryNode)
+{
+    // Every colo::EngineKnobs field set away from its default through
+    // the cluster builder must arrive unchanged in every node config.
+    admission::AdmissionConfig adm;
+    adm.policy = admission::AdmissionKind::QosShed;
+    adm.batching = admission::BatchingKind::Adaptive;
+    adm.queueBoundQos = 3.0;
+    adm.shedThreshold = 0.4;
+    adm.shedAggressiveness = 3.0;
+    adm.maxShedFraction = 0.6;
+    adm.batchSize = 8;
+    adm.batchTimeoutUs = 250.0;
+    adm.maxBatchSize = 32;
+    adm.batchEfficiency = 0.3;
+    adm.dispatchUtilization = 0.9;
+    adm.arrivalJitter = 0.1;
+    obs::ObsConfig obs_cfg;
+    obs_cfg.metrics = true;
+    obs_cfg.traceTickPhases = true;
+
+    ClusterConfigBuilder builder;
+    builder.nodes(2).serviceOnAll(services::ServiceKind::Memcached,
+                                  colo::Scenario::constant(0.5));
+    const ClusterConfig cfg = builder.apps({"canneal", "bayesian"})
+                                  .runtime(core::RuntimeKind::Learned)
+                                  .arbiter(core::ArbiterKind::ImpactAware)
+                                  .learnedVector(false)
+                                  .decisionInterval(2 * kS)
+                                  .slackThreshold(0.2)
+                                  .tick(20 * sim::kMillisecond)
+                                  .maxDuration(300 * kS)
+                                  .cachePartitioning()
+                                  .admission(adm)
+                                  .fastSampling()
+                                  .retainTimeline()
+                                  .observability(obs_cfg)
+                                  .build();
+    Cluster cl(cfg);
+    ASSERT_EQ(cl.nodeCount(), 2u);
+    for (std::size_t i = 0; i < cl.nodeCount(); ++i) {
+        SCOPED_TRACE("node " + std::to_string(i));
+        const colo::ColoConfig &nc = cl.nodeConfig(i);
+        EXPECT_EQ(nc.runtime, core::RuntimeKind::Learned);
+        EXPECT_EQ(nc.arbiter, core::ArbiterKind::ImpactAware);
+        EXPECT_FALSE(nc.learnedVector);
+        EXPECT_EQ(nc.decisionInterval, 2 * kS);
+        EXPECT_EQ(nc.slackThreshold, 0.2);
+        EXPECT_EQ(nc.tick, 20 * sim::kMillisecond);
+        EXPECT_EQ(nc.maxDuration, 300 * kS);
+        EXPECT_TRUE(nc.enableCachePartitioning);
+        EXPECT_TRUE(nc.fastSampling);
+        EXPECT_TRUE(nc.retainTimeline);
+
+        EXPECT_TRUE(nc.admission.enabled);
+        EXPECT_EQ(nc.admission.policy, adm.policy);
+        EXPECT_EQ(nc.admission.batching, adm.batching);
+        EXPECT_EQ(nc.admission.queueBoundQos, adm.queueBoundQos);
+        EXPECT_EQ(nc.admission.shedThreshold, adm.shedThreshold);
+        EXPECT_EQ(nc.admission.shedAggressiveness, adm.shedAggressiveness);
+        EXPECT_EQ(nc.admission.maxShedFraction, adm.maxShedFraction);
+        EXPECT_EQ(nc.admission.batchSize, adm.batchSize);
+        EXPECT_EQ(nc.admission.batchTimeoutUs, adm.batchTimeoutUs);
+        EXPECT_EQ(nc.admission.maxBatchSize, adm.maxBatchSize);
+        EXPECT_EQ(nc.admission.batchEfficiency, adm.batchEfficiency);
+        EXPECT_EQ(nc.admission.dispatchUtilization, adm.dispatchUtilization);
+        EXPECT_EQ(nc.admission.arrivalJitter, adm.arrivalJitter);
+
+        EXPECT_TRUE(nc.observability.metrics);
+        EXPECT_TRUE(nc.observability.traceTickPhases);
+    }
+
+    // The one default the two layers do not share.
+    EXPECT_TRUE(colo::ColoConfig{}.retainTimeline);
+    EXPECT_FALSE(ClusterConfig{}.retainTimeline);
 }
 
 } // namespace

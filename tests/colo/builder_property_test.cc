@@ -11,7 +11,8 @@
  * among the random invalid values, and one test sweeps them over
  * every floating-point field. Randomized *valid* configurations
  * (with and without an admission front-end) must build and construct
- * their Engine/Cluster without throwing.
+ * their Engine/Cluster without throwing. Bad timing knobs must fail
+ * with the same message through either builder.
  */
 
 #include <cctype>
@@ -164,6 +165,42 @@ invalidBudgetDraw(util::SplitMix64 &sm)
             break;
     }
     return cfg;
+}
+
+/** A valid one-node colocation: memcached plus one app. */
+colo::ConfigBuilder
+coloBase()
+{
+    colo::ConfigBuilder builder;
+    builder.service(services::ServiceKind::Memcached,
+                    colo::Scenario::constant(0.6));
+    builder.app("canneal");
+    return builder;
+}
+
+/** A valid two-node cluster: memcached on each node, one app. */
+cluster::ClusterConfigBuilder
+clusterBase()
+{
+    cluster::ClusterConfigBuilder builder;
+    builder.nodes(2);
+    builder.serviceOnAll(services::ServiceKind::Memcached,
+                         colo::Scenario::constant(0.6));
+    builder.app("canneal");
+    return builder;
+}
+
+/** build()'s util::FatalError message; empty when nothing threw. */
+template <typename Builder>
+std::string
+buildError(const Builder &builder)
+{
+    try {
+        builder.build();
+    } catch (const util::FatalError &e) {
+        return e.what();
+    }
+    return "";
 }
 
 TEST(BuilderPropertyTest, RandomInvalidColoConfigsThrowAtBuildTime)
@@ -398,23 +435,8 @@ TEST(BuilderPropertyTest, EveryNonFiniteFloatFieldThrowsAtBuildTime)
     // set to NaN, +inf and -inf in turn, everything else valid. A
     // range check written as `x < lo` lets NaN through; the
     // validators must reject all three values.
-    const auto colo_base = [] {
-        colo::ConfigBuilder builder;
-        builder.service(services::ServiceKind::Memcached,
-                        colo::Scenario::constant(0.6));
-        builder.app("canneal");
-        return builder;
-    };
-    const auto cluster_base = [] {
-        cluster::ClusterConfigBuilder builder;
-        builder.nodes(2);
-        builder.serviceOnAll(services::ServiceKind::Memcached,
-                             colo::Scenario::constant(0.6));
-        builder.app("canneal");
-        return builder;
-    };
-    ASSERT_NO_THROW(colo_base().build());
-    ASSERT_NO_THROW(cluster_base().build());
+    ASSERT_NO_THROW(coloBase().build());
+    ASSERT_NO_THROW(clusterBase().build());
 
     for (double bad : kNonFinite) {
         admission::AdmissionConfig adm_template;
@@ -423,9 +445,9 @@ TEST(BuilderPropertyTest, EveryNonFiniteFloatFieldThrowsAtBuildTime)
             admission::AdmissionConfig adm;
             adm.enabled = true;
             *floatFields(adm)[f] = bad;
-            EXPECT_THROW(colo_base().admission(adm).build(), util::FatalError)
+            EXPECT_THROW(coloBase().admission(adm).build(), util::FatalError)
                 << "admission field " << f << " = " << bad;
-            EXPECT_THROW(cluster_base().admission(adm).build(),
+            EXPECT_THROW(clusterBase().admission(adm).build(),
                          util::FatalError)
                 << "cluster admission field " << f << " = " << bad;
         }
@@ -435,25 +457,47 @@ TEST(BuilderPropertyTest, EveryNonFiniteFloatFieldThrowsAtBuildTime)
             budget::BudgetConfig bud;
             bud.enabled = true;
             *floatFields(bud)[f] = bad;
-            EXPECT_THROW(cluster_base().budget(bud).build(), util::FatalError)
+            EXPECT_THROW(clusterBase().budget(bud).build(), util::FatalError)
                 << "budget field " << f << " = " << bad;
         }
-        EXPECT_THROW(colo_base().slackThreshold(bad).build(), util::FatalError)
+        EXPECT_THROW(coloBase().slackThreshold(bad).build(), util::FatalError)
             << "slack threshold " << bad;
-        EXPECT_THROW(cluster_base().slackThreshold(bad).build(),
+        EXPECT_THROW(clusterBase().slackThreshold(bad).build(),
                      util::FatalError)
             << "cluster slack threshold " << bad;
-        colo::ConfigBuilder bad_load = colo_base();
+        colo::ConfigBuilder bad_load = coloBase();
         bad_load.service(services::ServiceKind::Nginx,
                          colo::Scenario::constant(bad));
         EXPECT_THROW(bad_load.build(), util::FatalError)
             << "scenario load " << bad;
-        cluster::ClusterConfigBuilder bad_peak = cluster_base();
+        cluster::ClusterConfigBuilder bad_peak = clusterBase();
         bad_peak.serviceOnAll(services::ServiceKind::Nginx,
                               colo::Scenario::step(0.5, bad, 10 * kS));
         EXPECT_THROW(bad_peak.build(), util::FatalError)
             << "cluster scenario peak load " << bad;
     }
+}
+
+TEST(BuilderPropertyTest, BadTimingFailsAlikeOnBothLayers)
+{
+    // Both layers run one engine-knob validator, so a bad timing knob
+    // must fail with the same message through either builder.
+    const auto expect_same_error = [](const char *label, auto set) {
+        colo::ConfigBuilder colo_builder = coloBase();
+        cluster::ClusterConfigBuilder cluster_builder = clusterBase();
+        set(colo_builder);
+        set(cluster_builder);
+        const std::string colo_msg = buildError(colo_builder);
+        EXPECT_FALSE(colo_msg.empty()) << label << " must throw";
+        EXPECT_EQ(colo_msg, buildError(cluster_builder)) << label;
+    };
+    expect_same_error("tick(0)", [](auto &b) { b.tick(0); });
+    expect_same_error("decisionInterval(0)",
+                      [](auto &b) { b.decisionInterval(0); });
+    expect_same_error("decision interval shorter than the tick", [](auto &b) {
+        b.tick(10 * sim::kMillisecond).decisionInterval(sim::kMillisecond);
+    });
+    expect_same_error("maxDuration(0)", [](auto &b) { b.maxDuration(0); });
 }
 
 TEST(BuilderPropertyTest, RandomBudgetPolicyTyposThrow)
