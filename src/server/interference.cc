@@ -49,9 +49,9 @@ aggregate(const std::vector<approx::PressureVector> &corunners)
  * zero aggregate preserves every intermediate value).
  */
 ContentionBreakdown
-contend(double llc_mb, double peak_bw,
-        const approx::PressureVector &self, const Aggregate &pagg,
-        const Aggregate &tagg, const CachePartition *part)
+contend(double llc_mb, double peak_bw, const approx::PressureVector &self,
+        const Aggregate &pagg, const Aggregate &tagg,
+        const CachePartition *part)
 {
     ContentionBreakdown c;
 
@@ -93,8 +93,7 @@ contend(double llc_mb, double peak_bw,
         // channels unamplified.
         const double amplified_bw =
             tagg.bw * part->corunnerBwAmplification(tagg.llc);
-        const double util =
-            (self.membwGbs + pagg.bw + amplified_bw) / peak_bw;
+        const double util = (self.membwGbs + pagg.bw + amplified_bw) / peak_bw;
         if (util > 0.35) {
             const double x = (util - 0.35) / 0.65;
             c.membw = std::min(x * x, 1.6);

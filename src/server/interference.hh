@@ -75,9 +75,9 @@ class InterferenceModel
      * Contention levels given the interactive service's own pressure
      * and the co-runners' aggregate pressure.
      */
-    ContentionBreakdown contention(
-        const approx::PressureVector &service_pressure,
-        const std::vector<approx::PressureVector> &corunners) const;
+    ContentionBreakdown
+    contention(const approx::PressureVector &service_pressure,
+               const std::vector<approx::PressureVector> &corunners) const;
 
     /**
      * Contention under an LLC way partition (Section 6.5 extension).
@@ -86,10 +86,10 @@ class InterferenceModel
      * amplified co-runner memory-bandwidth demand; an unpartitioned
      * CachePartition degenerates to contention().
      */
-    ContentionBreakdown contentionPartitioned(
-        const approx::PressureVector &service_pressure,
-        const std::vector<approx::PressureVector> &corunners,
-        const CachePartition &partition) const;
+    ContentionBreakdown
+    contentionPartitioned(const approx::PressureVector &service_pressure,
+                          const std::vector<approx::PressureVector> &corunners,
+                          const CachePartition &partition) const;
 
     /**
      * Contention one service experiences in a multi-tenant
@@ -103,18 +103,17 @@ class InterferenceModel
      * squeezed into the remaining ways. With no peers this
      * degenerates exactly to contention()/contentionPartitioned().
      */
-    ContentionBreakdown contentionMulti(
-        const approx::PressureVector &self,
-        const std::vector<approx::PressureVector> &peers,
-        const std::vector<approx::PressureVector> &tasks,
-        const CachePartition &partition) const;
+    ContentionBreakdown
+    contentionMulti(const approx::PressureVector &self,
+                    const std::vector<approx::PressureVector> &peers,
+                    const std::vector<approx::PressureVector> &tasks,
+                    const CachePartition &partition) const;
 
     /**
      * Service-time inflation factor (>= 1) for a service with the
      * given sensitivity under the given contention.
      */
-    double
-    inflation(const ContentionBreakdown &c, const Sensitivity &s) const
+    double inflation(const ContentionBreakdown &c, const Sensitivity &s) const
     {
         return 1.0 + c.weighted(s);
     }

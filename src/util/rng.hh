@@ -45,8 +45,7 @@ class NormalQuantileTable
     NormalQuantileTable();
 
     /** Inverse-CDF lookup for u in [0, 1). */
-    double
-    sample(double u) const
+    double sample(double u) const
     {
         const double x = u * static_cast<double>(kKnots);
         const std::size_t i = static_cast<std::size_t>(x);
@@ -79,8 +78,7 @@ class LognormalQuantileTable
     explicit LognormalQuantileTable(double sigma);
 
     /** Inverse-CDF lookup of exp(sigma * Z) for u in [0, 1). */
-    double
-    sample(double u) const
+    double sample(double u) const
     {
         const double x = u * static_cast<double>(kKnots);
         const std::size_t i = static_cast<std::size_t>(x);
@@ -171,16 +169,10 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double uniform()
-    {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
-    }
+    double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi)
-    {
-        return lo + (hi - lo) * uniform();
-    }
+    double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
     /** Uniform integer in [0, n). Requires n > 0. */
     std::uint64_t uniformInt(std::uint64_t n)
@@ -289,8 +281,7 @@ class Rng
      * every production use. A pending Box-Muller spare is left
      * untouched.
      */
-    void
-    normalBatchFast(double *dst, std::size_t n)
+    void normalBatchFast(double *dst, std::size_t n)
     {
         const NormalQuantileTable &table = NormalQuantileTable::shared();
         for (std::size_t i = 0; i < n; ++i)
@@ -303,9 +294,8 @@ class Rng
      * per call instead of per sample; same gating caveats as
      * normalBatchFast. The caller owns the sigma-matched table.
      */
-    void
-    fillLognormalFast(double *dst, std::size_t n, double mu,
-                      const LognormalQuantileTable &table)
+    void fillLognormalFast(double *dst, std::size_t n, double mu,
+                           const LognormalQuantileTable &table)
     {
         const double scale = std::exp(mu);
         for (std::size_t i = 0; i < n; ++i)

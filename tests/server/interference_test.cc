@@ -42,27 +42,27 @@ TEST_F(InterferenceTest, SmallFootprintBelowThresholdsIsFree)
 
 TEST_F(InterferenceTest, LlcContentionGrowsWithOccupancy)
 {
-    const auto small = model.contention(
-        service, {PressureVector{0.8, 20.0, 5.0, 0.0}});
-    const auto large = model.contention(
-        service, {PressureVector{0.8, 45.0, 5.0, 0.0}});
+    const auto small =
+        model.contention(service, {PressureVector{0.8, 20.0, 5.0, 0.0}});
+    const auto large =
+        model.contention(service, {PressureVector{0.8, 45.0, 5.0, 0.0}});
     EXPECT_GT(large.llc, small.llc);
     EXPECT_GT(large.llc, 0.0);
 }
 
 TEST_F(InterferenceTest, LlcContentionIsCapped)
 {
-    const auto c = model.contention(
-        service, {PressureVector{1.0, 500.0, 0.0, 0.0}});
+    const auto c =
+        model.contention(service, {PressureVector{1.0, 500.0, 0.0, 0.0}});
     EXPECT_LE(c.llc, 1.6);
 }
 
 TEST_F(InterferenceTest, BandwidthContentionGrowsWithDemand)
 {
-    const auto low = model.contention(
-        service, {PressureVector{0.8, 5.0, 10.0, 0.0}});
-    const auto high = model.contention(
-        service, {PressureVector{0.8, 5.0, 50.0, 0.0}});
+    const auto low =
+        model.contention(service, {PressureVector{0.8, 5.0, 10.0, 0.0}});
+    const auto high =
+        model.contention(service, {PressureVector{0.8, 5.0, 50.0, 0.0}});
     EXPECT_GE(high.membw, low.membw);
     EXPECT_GT(high.membw, 0.0);
 }
@@ -79,12 +79,11 @@ TEST_F(InterferenceTest, MultipleCorunnersAccumulate)
 
 TEST_F(InterferenceTest, SensitivityWeighting)
 {
-    const auto c = model.contention(
-        service, {PressureVector{0.9, 40.0, 40.0, 0.0}});
+    const auto c =
+        model.contention(service, {PressureVector{0.9, 40.0, 40.0, 0.0}});
     Sensitivity insensitive{0.01, 0.01, 0.01, 0.01};
     Sensitivity sensitive{0.5, 0.5, 0.2, 0.3};
-    EXPECT_LT(model.inflation(c, insensitive),
-              model.inflation(c, sensitive));
+    EXPECT_LT(model.inflation(c, insensitive), model.inflation(c, sensitive));
     EXPECT_GE(model.inflation(c, insensitive), 1.0);
 }
 
@@ -110,8 +109,8 @@ TEST_F(InterferenceTest, CapacityAccessors)
 
 TEST_F(InterferenceTest, ComputeChannelIsSmall)
 {
-    const auto c = model.contention(
-        service, {PressureVector{1.0, 0.0, 0.0, 0.0}});
+    const auto c =
+        model.contention(service, {PressureVector{1.0, 0.0, 0.0, 0.0}});
     EXPECT_LE(c.compute, 0.10 + 1e-12);
 }
 
@@ -131,20 +130,20 @@ TEST_P(MonotonicityTest, InflationMonotoneInChannel)
         PressureVector p{0.5, 10.0, 8.0, 0.0};
         const double level = step * 6.0;
         switch (GetParam()) {
-          case 0:
-            p.llcMb = level;
-            break;
-          case 1:
-            p.membwGbs = level;
-            break;
-          case 2:
-            p.compute = step * 0.1;
-            break;
+            case 0:
+                p.llcMb = level;
+                break;
+            case 1:
+                p.membwGbs = level;
+                break;
+            case 2:
+                p.compute = step * 0.1;
+                break;
         }
         const double infl =
             model.inflation(model.contention(service, {p}), sens);
-        EXPECT_GE(infl, prev - 1e-12) << "channel " << GetParam()
-                                      << " step " << step;
+        EXPECT_GE(infl, prev - 1e-12)
+            << "channel " << GetParam() << " step " << step;
         prev = infl;
     }
 }
@@ -163,8 +162,7 @@ TEST_F(InterferenceTest, MultiWithoutPeersEqualsSingleServiceModel)
         PressureVector{0.6, 12.0, 9.0, 0.0}};
     const CachePartition shared(spec, 0);
     const auto single = model.contention(service, tasks);
-    const auto multi =
-        model.contentionMulti(service, {}, tasks, shared);
+    const auto multi = model.contentionMulti(service, {}, tasks, shared);
     EXPECT_EQ(single.llc, multi.llc);
     EXPECT_EQ(single.membw, multi.membw);
     EXPECT_EQ(single.compute, multi.compute);
@@ -172,10 +170,8 @@ TEST_F(InterferenceTest, MultiWithoutPeersEqualsSingleServiceModel)
 
     CachePartition part(spec, 0);
     ASSERT_TRUE(part.grow() && part.grow() && part.grow());
-    const auto psingle =
-        model.contentionPartitioned(service, tasks, part);
-    const auto pmulti =
-        model.contentionMulti(service, {}, tasks, part);
+    const auto psingle = model.contentionPartitioned(service, tasks, part);
+    const auto pmulti = model.contentionMulti(service, {}, tasks, part);
     EXPECT_EQ(psingle.llc, pmulti.llc);
     EXPECT_EQ(psingle.membw, pmulti.membw);
     EXPECT_EQ(psingle.compute, pmulti.compute);
@@ -192,8 +188,7 @@ TEST_F(InterferenceTest, PartitionedPeersShareServiceSideUnamplified)
     while (part.serviceWays() < 6)
         ASSERT_TRUE(part.grow());
 
-    const auto with_peer =
-        model.contentionMulti(service, {peer}, tasks, part);
+    const auto with_peer = model.contentionMulti(service, {peer}, tasks, part);
     const auto alone = model.contentionMulti(service, {}, tasks, part);
 
     // The peer's working set counts against the service-side
@@ -209,15 +204,13 @@ TEST_F(InterferenceTest, PartitionedPeersShareServiceSideUnamplified)
     self_plus_peer_bw.membwGbs += peer.membwGbs;
     PressureVector peer_no_bw = peer;
     peer_no_bw.membwGbs = 0.0;
-    const auto folded = model.contentionMulti(self_plus_peer_bw,
-                                              {peer_no_bw}, tasks,
-                                              part);
+    const auto folded =
+        model.contentionMulti(self_plus_peer_bw, {peer_no_bw}, tasks, part);
     EXPECT_DOUBLE_EQ(with_peer.membw, folded.membw);
 
     PressureVector peer_as_task = peer;
-    const auto squeezed = model.contentionMulti(
-        service, {},
-        {tasks[0], peer_as_task}, part);
+    const auto squeezed =
+        model.contentionMulti(service, {}, {tasks[0], peer_as_task}, part);
     EXPECT_LT(with_peer.membw, squeezed.membw);
 }
 

@@ -95,8 +95,7 @@ TEST_F(PartitionedInterferenceTest, IsolationRemovesLlcContention)
     // Give the service 8 ways (22 MB) — enough for its 16 MB set.
     CachePartition part(spec, 8);
     const auto shared = model.contention(service, {heavy});
-    const auto isolated =
-        model.contentionPartitioned(service, {heavy}, part);
+    const auto isolated = model.contentionPartitioned(service, {heavy}, part);
     EXPECT_GT(shared.llc, 0.0);
     EXPECT_EQ(isolated.llc, 0.0);
 }
@@ -113,8 +112,7 @@ TEST_F(PartitionedInterferenceTest, SqueezedCorunnersRaiseBwContention)
 {
     CachePartition part(spec, 12); // co-runners: 22 MB for a 48 MB set
     const auto shared = model.contention(service, {heavy});
-    const auto isolated =
-        model.contentionPartitioned(service, {heavy}, part);
+    const auto isolated = model.contentionPartitioned(service, {heavy}, part);
     EXPECT_GE(isolated.membw, shared.membw);
 }
 
@@ -124,8 +122,8 @@ TEST_F(PartitionedInterferenceTest, NetBenefitForLlcSensitiveService)
     // interferer, isolating ways lowers total weighted contention.
     CachePartition part(spec, 8);
     Sensitivity sens{0.2, 0.05, 0.05, 0.1};
-    const double shared = model.inflation(
-        model.contention(service, {heavy}), sens);
+    const double shared =
+        model.inflation(model.contention(service, {heavy}), sens);
     const double isolated = model.inflation(
         model.contentionPartitioned(service, {heavy}, part), sens);
     EXPECT_LT(isolated, shared);

@@ -228,17 +228,15 @@ TEST(FastSamplingTest, InverseNormalCdfRoundTrips)
 {
     // Phi(Phi^-1(p)) == p to near machine precision, including well
     // into the tails Acklam's central polynomial alone would miss.
-    for (double p : {1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.1, 0.25, 0.5,
-                     0.75, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6,
-                     1.0 - 1e-9}) {
+    for (double p : {1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9,
+                     0.99, 1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-9}) {
         const double x = inverseNormalCdf(p);
         EXPECT_NEAR(normalCdf(x), p, 1e-12 + 1e-9 * p) << "p=" << p;
     }
     // Known quantiles.
     EXPECT_EQ(inverseNormalCdf(0.5), 0.0);
     EXPECT_NEAR(inverseNormalCdf(0.975), 1.959963984540054, 1e-12);
-    EXPECT_NEAR(inverseNormalCdf(0.5 + 0.682689492137086 / 2), 1.0,
-                1e-12);
+    EXPECT_NEAR(inverseNormalCdf(0.5 + 0.682689492137086 / 2), 1.0, 1e-12);
 }
 
 TEST(FastSamplingTest, InverseNormalCdfIsAntisymmetric)
@@ -246,8 +244,7 @@ TEST(FastSamplingTest, InverseNormalCdfIsAntisymmetric)
     // Tolerance floor: 1 - p itself rounds to half an ulp of 1.0,
     // which maps through the tail density to ~2e-9 of x at p = 1e-8.
     for (double p : {1e-8, 1e-4, 0.03, 0.2, 0.45}) {
-        EXPECT_NEAR(inverseNormalCdf(p), -inverseNormalCdf(1.0 - p),
-                    1e-8)
+        EXPECT_NEAR(inverseNormalCdf(p), -inverseNormalCdf(1.0 - p), 1e-8)
             << "p=" << p;
     }
     // Degenerate inputs clamp instead of producing infinities.
@@ -286,8 +283,7 @@ TEST(FastSamplingTest, LognormalQuantileTableMatchesClosedForm)
         EXPECT_NEAR(got, exact, 3e-3 * exact + 1e-6) << "u=" << u;
     }
     for (double u : {1e-6, 1.0 - 1e-6})
-        EXPECT_EQ(table.sample(u),
-                  std::exp(sigma * inverseNormalCdf(u)));
+        EXPECT_EQ(table.sample(u), std::exp(sigma * inverseNormalCdf(u)));
 }
 
 TEST(FastSamplingTest, NormalBatchFastPassesKsAndMomentChecks)
