@@ -541,31 +541,6 @@ ClusterConfigBuilder::serviceOnAll(services::ServiceKind kind,
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::app(const std::string &name)
-{
-    cfg.apps.push_back(name);
-    cfg.initialVariants.push_back(0);
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::app(const std::string &name, int initialVariant)
-{
-    cfg.apps.push_back(name);
-    cfg.initialVariants.push_back(initialVariant);
-    anyVariantPinned = true;
-    return *this;
-}
-
-ClusterConfigBuilder &
-ClusterConfigBuilder::apps(const std::vector<std::string> &names)
-{
-    for (const auto &name : names)
-        app(name);
-    return *this;
-}
-
-ClusterConfigBuilder &
 ClusterConfigBuilder::placement(PlacementKind kind)
 {
     cfg.placement = kind;
@@ -599,13 +574,6 @@ ClusterConfigBuilder::epoch(sim::Time epoch)
 }
 
 ClusterConfigBuilder &
-ClusterConfigBuilder::seed(std::uint64_t seed)
-{
-    cfg.seed = seed;
-    return *this;
-}
-
-ClusterConfigBuilder &
 ClusterConfigBuilder::threads(unsigned threads)
 {
     cfg.threads = threads;
@@ -615,9 +583,7 @@ ClusterConfigBuilder::threads(unsigned threads)
 ClusterConfig
 ClusterConfigBuilder::build() const
 {
-    ClusterConfig built = cfg;
-    if (!anyVariantPinned)
-        built.initialVariants.clear();
+    ClusterConfig built = assembled();
     validateClusterConfig(built);
     return built;
 }

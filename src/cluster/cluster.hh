@@ -221,10 +221,6 @@ class ClusterConfigBuilder
     ClusterConfigBuilder &serviceOnAll(services::ServiceKind kind,
                                        colo::Scenario scenario);
 
-    ClusterConfigBuilder &app(const std::string &name);
-    ClusterConfigBuilder &app(const std::string &name, int initialVariant);
-    ClusterConfigBuilder &apps(const std::vector<std::string> &names);
-
     ClusterConfigBuilder &placement(PlacementKind kind);
 
     /**
@@ -237,7 +233,6 @@ class ClusterConfigBuilder
                                  double quality_budget, double shed_budget);
 
     ClusterConfigBuilder &epoch(sim::Time epoch);
-    ClusterConfigBuilder &seed(std::uint64_t seed);
     ClusterConfigBuilder &threads(unsigned threads);
 
     /** Validate and return the config (throws util::FatalError). */
@@ -245,8 +240,6 @@ class ClusterConfigBuilder
 
   private:
     NodeSpec &lastNode();
-
-    bool anyVariantPinned = false;
 };
 
 /**

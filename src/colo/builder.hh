@@ -14,6 +14,7 @@
 #ifndef PLIANT_COLO_BUILDER_HH
 #define PLIANT_COLO_BUILDER_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,16 +25,48 @@ namespace pliant {
 namespace colo {
 
 /**
- * The setters of every EngineKnobs field, shared by ConfigBuilder
- * and cluster::ClusterConfigBuilder. `Builder` is the deriving
- * builder (CRTP), so each setter returns it and chains keep its own
- * methods; `Config` is the config it builds, held here as `cfg`.
- * (Types are spelled via pliant:: where a method name such as
- * `admission` hides the namespace inside this class scope.)
+ * The setters ConfigBuilder and cluster::ClusterConfigBuilder share:
+ * one per EngineKnobs field, plus the app list and the seed that
+ * both configs carry. `Builder` is the deriving builder (CRTP), so
+ * each setter returns it and chains keep its own methods; `Config`
+ * is the config it builds, held here as `cfg`. (Types are spelled
+ * via pliant:: where a method name such as `admission` hides the
+ * namespace inside this class scope.)
  */
 template <typename Builder, typename Config> class EngineKnobSetters
 {
   public:
+    /** Append one approximate app, starting precise. */
+    Builder &app(const std::string &name)
+    {
+        cfg.apps.push_back(name);
+        cfg.initialVariants.push_back(0);
+        return self();
+    }
+
+    /** Append one approximate app pinned to a starting variant. */
+    Builder &app(const std::string &name, int initialVariant)
+    {
+        cfg.apps.push_back(name);
+        cfg.initialVariants.push_back(initialVariant);
+        anyVariantPinned = true;
+        return self();
+    }
+
+    /** Append several apps, all starting precise. */
+    Builder &apps(const std::vector<std::string> &names)
+    {
+        for (const auto &name : names)
+            app(name);
+        return self();
+    }
+
+    Builder &seed(std::uint64_t seed)
+    {
+        cfg.seed = seed;
+        return self();
+    }
+
     Builder &runtime(core::RuntimeKind kind)
     {
         cfg.runtime = kind;
@@ -146,10 +179,26 @@ template <typename Builder, typename Config> class EngineKnobSetters
     }
 
   protected:
+    /**
+     * A copy of `cfg` for build() to validate. An all-precise
+     * variant list is the engine's default, so the list is kept
+     * only when some app() pinned a variant: built configs stay
+     * byte-identical to hand-written ones.
+     */
+    Config assembled() const
+    {
+        Config built = cfg;
+        if (!anyVariantPinned)
+            built.initialVariants.clear();
+        return built;
+    }
+
     Config cfg;
 
   private:
     Builder &self() { return static_cast<Builder &>(*this); }
+
+    bool anyVariantPinned = false;
 };
 
 /**
@@ -181,16 +230,6 @@ class ConfigBuilder : public EngineKnobSetters<ConfigBuilder, ColoConfig>
     ConfigBuilder &service(std::string name, services::ServiceKind kind,
                            Scenario scenario);
 
-    /** Append one approximate app, starting precise. */
-    ConfigBuilder &app(const std::string &name);
-
-    /** Append one approximate app pinned to a starting variant. */
-    ConfigBuilder &app(const std::string &name, int initialVariant);
-
-    /** Append several apps, all starting precise. */
-    ConfigBuilder &apps(const std::vector<std::string> &names);
-
-    ConfigBuilder &seed(std::uint64_t seed);
     ConfigBuilder &spec(server::ServerSpec spec);
 
     /**
@@ -199,10 +238,6 @@ class ConfigBuilder : public EngineKnobSetters<ConfigBuilder, ColoConfig>
      * catalog names, out-of-range variants, fair-core starvation).
      */
     ColoConfig build() const;
-
-  private:
-    /** Tracks whether any app() carried an explicit variant. */
-    bool anyVariantPinned = false;
 };
 
 } // namespace colo

@@ -160,12 +160,6 @@ class Engine::ServerActuator : public core::Actuator
 };
 
 int
-Engine::fairShare(const server::ServerSpec &spec, int n_apps)
-{
-    return fairShare(spec, n_apps, 1);
-}
-
-int
 Engine::fairShare(const server::ServerSpec &spec, int n_apps, int n_services)
 {
     return std::max(1, spec.usableCores() / (n_apps + n_services));

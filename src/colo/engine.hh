@@ -583,12 +583,9 @@ class Engine
     void attachApp(const approx::TaskState &state);
 
     /**
-     * Fair core allocation per app container with one interactive
-     * service (the paper's split).
+     * Fair core allocation per app container with n_services
+     * interactive tenants (n_services = 1 is the paper's split).
      */
-    static int fairShare(const server::ServerSpec &spec, int n_apps);
-
-    /** Fair core allocation per app with n_services tenants. */
     static int fairShare(const server::ServerSpec &spec, int n_apps,
                          int n_services);
 

@@ -39,28 +39,25 @@ aggregate(const std::vector<approx::PressureVector> &corunners)
     return agg;
 }
 
-/**
- * The one shared contention model. `pagg` aggregates peer services
- * (service-side of any way partition), `tagg` the approximate tasks
- * (squeezed side); `part` is null when the LLC is unpartitioned.
- * Every public entry point delegates here, so the knee/cap constants
- * exist exactly once. With an all-zero `pagg` the arithmetic is
- * bit-identical to the historical single-service formulas (adding a
- * zero aggregate preserves every intermediate value).
- */
+} // namespace
+
 ContentionBreakdown
-contend(double llc_mb, double peak_bw, const approx::PressureVector &self,
-        const Aggregate &pagg, const Aggregate &tagg,
-        const CachePartition *part)
+InterferenceModel::contentionMulti(
+    const approx::PressureVector &self,
+    const std::vector<approx::PressureVector> &peers,
+    const std::vector<approx::PressureVector> &tasks,
+    const CachePartition &partition) const
 {
+    const Aggregate pagg = aggregate(peers);
+    const Aggregate tagg = aggregate(tasks);
     ContentionBreakdown c;
 
-    if (part == nullptr) {
+    if (!partition.isolated()) {
         // Shared LLC: conflict misses grow smoothly once combined
         // working sets pass ~half the capacity, and steeply past
         // capacity.
         const double total_llc = self.llcMb + pagg.llc + tagg.llc;
-        const double occupancy = total_llc / llc_mb;
+        const double occupancy = total_llc / llcMb;
         if (occupancy > 0.5) {
             const double x = (occupancy - 0.5) / 0.7;
             c.llc = std::min(x * x, 1.6);
@@ -70,7 +67,7 @@ contend(double llc_mb, double peak_bw, const approx::PressureVector &self,
         // passes ~35% of peak (DDR scheduling conflicts), steeply as
         // it approaches saturation.
         const double total_bw = self.membwGbs + pagg.bw + tagg.bw;
-        const double util = total_bw / peak_bw;
+        const double util = total_bw / peakBw;
         if (util > 0.35) {
             const double x = (util - 0.35) / 0.65;
             c.membw = std::min(x * x, 1.6);
@@ -79,7 +76,7 @@ contend(double llc_mb, double peak_bw, const approx::PressureVector &self,
         // The service-side partition is private to the interactive
         // service(s): LLC contention exists only if their combined
         // working sets overflow the isolated allocation.
-        const double svc_cap = part->serviceCapacityMb();
+        const double svc_cap = partition.serviceCapacityMb();
         const double svc_occ = (self.llcMb + pagg.llc) / svc_cap;
         if (svc_occ > 0.8) {
             const double x = (svc_occ - 0.8) / 0.7;
@@ -92,8 +89,8 @@ contend(double llc_mb, double peak_bw, const approx::PressureVector &self,
         // services live inside the partition and hit the memory
         // channels unamplified.
         const double amplified_bw =
-            tagg.bw * part->corunnerBwAmplification(tagg.llc);
-        const double util = (self.membwGbs + pagg.bw + amplified_bw) / peak_bw;
+            tagg.bw * partition.corunnerBwAmplification(tagg.llc);
+        const double util = (self.membwGbs + pagg.bw + amplified_bw) / peakBw;
         if (util > 0.35) {
             const double x = (util - 0.35) / 0.65;
             c.membw = std::min(x * x, 1.6);
@@ -107,39 +104,6 @@ contend(double llc_mb, double peak_bw, const approx::PressureVector &self,
 
     c.activity = std::min(pagg.activity + tagg.activity, 1.6);
     return c;
-}
-
-} // namespace
-
-ContentionBreakdown
-InterferenceModel::contention(
-    const approx::PressureVector &service_pressure,
-    const std::vector<approx::PressureVector> &corunners) const
-{
-    return contend(llcMb, peakBw, service_pressure, Aggregate{},
-                   aggregate(corunners), nullptr);
-}
-
-ContentionBreakdown
-InterferenceModel::contentionPartitioned(
-    const approx::PressureVector &service_pressure,
-    const std::vector<approx::PressureVector> &corunners,
-    const CachePartition &partition) const
-{
-    return contend(llcMb, peakBw, service_pressure, Aggregate{},
-                   aggregate(corunners),
-                   partition.isolated() ? &partition : nullptr);
-}
-
-ContentionBreakdown
-InterferenceModel::contentionMulti(
-    const approx::PressureVector &self,
-    const std::vector<approx::PressureVector> &peers,
-    const std::vector<approx::PressureVector> &tasks,
-    const CachePartition &partition) const
-{
-    return contend(llcMb, peakBw, self, aggregate(peers), aggregate(tasks),
-                   partition.isolated() ? &partition : nullptr);
 }
 
 } // namespace server

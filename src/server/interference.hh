@@ -72,36 +72,16 @@ class InterferenceModel
     explicit InterferenceModel(const ServerSpec &spec);
 
     /**
-     * Contention levels given the interactive service's own pressure
-     * and the co-runners' aggregate pressure.
-     */
-    ContentionBreakdown
-    contention(const approx::PressureVector &service_pressure,
-               const std::vector<approx::PressureVector> &corunners) const;
-
-    /**
-     * Contention under an LLC way partition (Section 6.5 extension).
-     * Ways isolated for the service remove its LLC contention
-     * channel entirely (its partition is private) at the cost of
-     * amplified co-runner memory-bandwidth demand; an unpartitioned
-     * CachePartition degenerates to contention().
-     */
-    ContentionBreakdown
-    contentionPartitioned(const approx::PressureVector &service_pressure,
-                          const std::vector<approx::PressureVector> &corunners,
-                          const CachePartition &partition) const;
-
-    /**
-     * Contention one service experiences in a multi-tenant
-     * colocation: `peers` are the *other* latency-critical services
-     * (inside the service-side way partition when one is active) and
-     * `tasks` are the approximate co-runners (outside it). Without
-     * partitioning this equals contention() over peers+tasks; with
-     * partitioning the peers share the isolated ways with `self`
-     * (their working sets count against the service-side capacity
-     * and their bandwidth is not amplified) while only the tasks are
-     * squeezed into the remaining ways. With no peers this
-     * degenerates exactly to contention()/contentionPartitioned().
+     * Contention one service experiences in a colocation: `peers` are
+     * the *other* latency-critical services and `tasks` the
+     * approximate co-runners. On a shared LLC (an unisolated
+     * `partition`) peers and tasks count alike. Under an LLC way
+     * partition (Section 6.5 extension) the peers share the isolated
+     * ways with `self`: their working sets count against the
+     * service-side capacity and their bandwidth is not amplified.
+     * Only the tasks are squeezed into the remaining ways, which
+     * amplifies their memory-bandwidth demand. A single-service
+     * colocation passes no peers.
      */
     ContentionBreakdown
     contentionMulti(const approx::PressureVector &self,

@@ -71,34 +71,18 @@ inverseNormalCdf(double p)
     return x;
 }
 
-NormalQuantileTable::NormalQuantileTable() : knots(kKnots + 1, 0.0)
-{
-    for (std::size_t i = 1; i < kKnots; ++i)
-        knots[i] = inverseNormalCdf(static_cast<double>(i) /
-                                    static_cast<double>(kKnots));
-    // The unused endpoint slots mirror their neighbors so an
-    // out-of-contract read stays finite.
-    knots[0] = knots[1];
-    knots[kKnots] = knots[kKnots - 1];
-}
-
-const NormalQuantileTable &
-NormalQuantileTable::shared()
-{
-    static const NormalQuantileTable table;
-    return table;
-}
-
 LognormalQuantileTable::LognormalQuantileTable(double sigma)
     : sigmaZ(sigma), knots(kKnots + 1, 0.0)
 {
     for (std::size_t i = 1; i < kKnots; ++i) {
-        // Exact inverse CDF at the knot (not the normal table's
-        // interpolation) so table error stays one-lerp deep.
+        // Exact inverse CDF at the knot, so table error stays one
+        // lerp deep.
         const double z = inverseNormalCdf(static_cast<double>(i) /
                                           static_cast<double>(kKnots));
         knots[i] = std::exp(sigmaZ * z);
     }
+    // The unused endpoint slots mirror their neighbors so an
+    // out-of-contract read stays finite.
     knots[0] = knots[1];
     knots[kKnots] = knots[kKnots - 1];
 }

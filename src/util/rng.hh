@@ -21,56 +21,20 @@ namespace util {
 /**
  * Inverse standard-normal CDF (Acklam's rational approximation
  * refined by one Halley step on erfc), accurate to ~1e-15 over
- * (0, 1). Used to build the fast-sampling quantile tables and to
- * evaluate their exact tails; clamps p to avoid the infinities at 0
+ * (0, 1). Used to build the fast-sampling quantile table and to
+ * evaluate its exact tails; clamps p to avoid the infinities at 0
  * and 1.
  */
 double inverseNormalCdf(double p);
-
-/**
- * Precomputed quantile table of the standard normal: kKnots
- * uniformly-spaced inverse-CDF knots with linear interpolation in
- * the central region and exact (inverseNormalCdf) evaluation in the
- * outer 2/kKnots tail mass. sample(u) maps a uniform draw to a
- * normal variate with one multiply and a table lookup instead of
- * exp/log/sincos — the table-driven path behind
- * Rng::normalBatchFast. Deliberately NOT bit-identical to the
- * Box-Muller stream: callers opt in (ColoConfig.fastSampling) and
- * the goldens exclude it; statistical equivalence is pinned by the
- * KS/moment tests.
- */
-class NormalQuantileTable
-{
-  public:
-    NormalQuantileTable();
-
-    /** Inverse-CDF lookup for u in [0, 1). */
-    double sample(double u) const
-    {
-        const double x = u * static_cast<double>(kKnots);
-        const std::size_t i = static_cast<std::size_t>(x);
-        if (i < 1 || i >= kKnots - 1)
-            return inverseNormalCdf(u);
-        const double frac = x - static_cast<double>(i);
-        return knots[i] + frac * (knots[i + 1] - knots[i]);
-    }
-
-    /** Shared immutable instance (thread-safe static init). */
-    static const NormalQuantileTable &shared();
-
-    static constexpr std::size_t kKnots = 4096;
-
-  private:
-    std::vector<double> knots; ///< knots[i] = Phi^-1(i / kKnots)
-};
 
 /**
  * Quantile table of exp(sigma * Z), Z standard normal — the
  * sigma-parameterized factor of a lognormal sample. Built once per
  * (service, sigma) pair, it turns the per-sample exp(mu + sigma * z)
  * into table lookups plus one exp(mu) per batch: sample(u) already
- * returns exp(sigma * Phi^-1(u)), exactly in the rare tails and
- * linearly interpolated (in the exp domain) in the central region.
+ * returns exp(sigma * Phi^-1(u)), exactly in the outer 2/kKnots
+ * tail mass and linearly interpolated (in the exp domain) in the
+ * central region. The table behind Rng::fillLognormalFast.
  */
 class LognormalQuantileTable
 {
@@ -195,16 +159,6 @@ class Rng
     /** Bernoulli trial with success probability p. */
     bool coin(double p) { return uniform() < p; }
 
-    /** Exponential variate with the given rate (mean 1/rate). */
-    double exponential(double rate)
-    {
-        double u = uniform();
-        // Guard against log(0).
-        if (u <= 0.0)
-            u = 0x1.0p-53;
-        return -std::log(u) / rate;
-    }
-
     /**
      * Standard normal via Box-Muller (one value per call).
      *
@@ -272,27 +226,15 @@ class Rng
     }
 
     /**
-     * Table-driven standard normal batch: one uniform draw per
-     * variate mapped through the shared NormalQuantileTable. Opt-in
-     * fast path — it consumes ONE uniform per sample (vs one pair
-     * per two samples for Box-Muller) and produces different (but
-     * statistically equivalent) values, so it must never run inside
-     * a golden-pinned configuration; ColoConfig.fastSampling gates
-     * every production use. A pending Box-Muller spare is left
-     * untouched.
-     */
-    void normalBatchFast(double *dst, std::size_t n)
-    {
-        const NormalQuantileTable &table = NormalQuantileTable::shared();
-        for (std::size_t i = 0; i < n; ++i)
-            dst[i] = table.sample(uniform());
-    }
-
-    /**
      * Table-driven lognormal batch: dst[i] = exp(mu) * table(u_i)
      * where table already encodes exp(sigma * Phi^-1(u)). One exp
-     * per call instead of per sample; same gating caveats as
-     * normalBatchFast. The caller owns the sigma-matched table.
+     * per call instead of per sample. Opt-in fast path: it consumes
+     * ONE uniform per sample (vs one pair per two samples for
+     * Box-Muller) and leaves a pending Box-Muller spare untouched,
+     * so its values differ from fillLognormal's (statistically
+     * equivalent, not bit-identical). It must never run inside a
+     * golden-pinned configuration; ColoConfig.fastSampling gates
+     * every production use. The caller owns the sigma-matched table.
      */
     void fillLognormalFast(double *dst, std::size_t n, double mu,
                            const LognormalQuantileTable &table)
@@ -313,9 +255,6 @@ class Rng
         const double mu = std::log(mean) - 0.5 * sigma2;
         return std::exp(normal(mu, std::sqrt(sigma2)));
     }
-
-    /** Fork an independent, deterministically-derived child stream. */
-    Rng fork() { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
 
   private:
     static std::uint64_t rotl(std::uint64_t x, int k)

@@ -70,11 +70,6 @@ class RunningStats
     double min() const { return n ? minVal : 0.0; }
     double max() const { return n ? maxVal : 0.0; }
 
-    /** Coefficient of variation (0 when the mean is 0). */
-    double cv() const { return meanVal != 0.0 ? stddev() / meanVal : 0.0; }
-
-    void reset() { *this = RunningStats(); }
-
   private:
     std::size_t n = 0;
     double meanVal = 0.0;

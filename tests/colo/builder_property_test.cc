@@ -500,6 +500,44 @@ TEST(BuilderPropertyTest, BadTimingFailsAlikeOnBothLayers)
     expect_same_error("maxDuration(0)", [](auto &b) { b.maxDuration(0); });
 }
 
+TEST(BuilderPropertyTest, AppListBuildsAlikeOnBothLayers)
+{
+    // Both builders share one set of app-list setters, so the same
+    // app()/apps()/seed() calls must build the same apps, starting
+    // variants and seed through either.
+    const auto build_both = [](const char *label, auto set) {
+        colo::ConfigBuilder colo_builder = coloBase();
+        cluster::ClusterConfigBuilder cluster_builder = clusterBase();
+        set(colo_builder);
+        set(cluster_builder);
+        const colo::ColoConfig colo_cfg = colo_builder.build();
+        const cluster::ClusterConfig cluster_cfg = cluster_builder.build();
+        EXPECT_EQ(colo_cfg.apps, cluster_cfg.apps) << label;
+        EXPECT_EQ(colo_cfg.initialVariants, cluster_cfg.initialVariants)
+            << label;
+        EXPECT_EQ(colo_cfg.seed, cluster_cfg.seed) << label;
+        return colo_cfg;
+    };
+
+    // No variant pinned: the list stays empty, as in a hand-written
+    // config.
+    const colo::ColoConfig precise = build_both("apps() only", [](auto &b) {
+        b.apps({"raytrace", "kmeans"}).seed(7);
+    });
+    EXPECT_EQ(precise.apps,
+              (std::vector<std::string>{"canneal", "raytrace", "kmeans"}));
+    EXPECT_TRUE(precise.initialVariants.empty());
+    EXPECT_EQ(precise.seed, 7u);
+
+    // One pinned variant keeps the whole list, precise apps as 0.
+    const colo::ColoConfig pinned =
+        build_both("one variant pinned", [](auto &b) {
+            b.app("raytrace", 1).apps({"kmeans"}).seed(9);
+        });
+    EXPECT_EQ(pinned.initialVariants, (std::vector<int>{0, 1, 0}));
+    EXPECT_EQ(pinned.seed, 9u);
+}
+
 TEST(BuilderPropertyTest, RandomBudgetPolicyTyposThrow)
 {
     // Every valid name parses; every mutation of one (and every

@@ -17,12 +17,13 @@ class InterferenceTest : public ::testing::Test
   protected:
     ServerSpec spec;
     InterferenceModel model{spec};
+    const CachePartition unpartitioned{spec};
     PressureVector service{0.9, 16.0, 18.0, 6.0};
 };
 
 TEST_F(InterferenceTest, NoCorunnersMeansNoContention)
 {
-    const auto c = model.contention(service, {});
+    const auto c = model.contentionMulti(service, {}, {}, unpartitioned);
     EXPECT_EQ(c.llc, 0.0);
     EXPECT_EQ(c.membw, 0.0);
     EXPECT_EQ(c.compute, 0.0);
@@ -33,8 +34,8 @@ TEST_F(InterferenceTest, NoCorunnersMeansNoContention)
 TEST_F(InterferenceTest, SmallFootprintBelowThresholdsIsFree)
 {
     // Tiny co-runner: combined LLC < 50% of 55 MB, bw < 35% of peak.
-    const auto c =
-        model.contention(service, {PressureVector{0.1, 4.0, 2.0, 0.0}});
+    const auto c = model.contentionMulti(
+        service, {}, {PressureVector{0.1, 4.0, 2.0, 0.0}}, unpartitioned);
     EXPECT_EQ(c.llc, 0.0);
     EXPECT_EQ(c.membw, 0.0);
     EXPECT_GT(c.activity, 0.0); // presence is still felt
@@ -42,27 +43,27 @@ TEST_F(InterferenceTest, SmallFootprintBelowThresholdsIsFree)
 
 TEST_F(InterferenceTest, LlcContentionGrowsWithOccupancy)
 {
-    const auto small =
-        model.contention(service, {PressureVector{0.8, 20.0, 5.0, 0.0}});
-    const auto large =
-        model.contention(service, {PressureVector{0.8, 45.0, 5.0, 0.0}});
+    const auto small = model.contentionMulti(
+        service, {}, {PressureVector{0.8, 20.0, 5.0, 0.0}}, unpartitioned);
+    const auto large = model.contentionMulti(
+        service, {}, {PressureVector{0.8, 45.0, 5.0, 0.0}}, unpartitioned);
     EXPECT_GT(large.llc, small.llc);
     EXPECT_GT(large.llc, 0.0);
 }
 
 TEST_F(InterferenceTest, LlcContentionIsCapped)
 {
-    const auto c =
-        model.contention(service, {PressureVector{1.0, 500.0, 0.0, 0.0}});
+    const auto c = model.contentionMulti(
+        service, {}, {PressureVector{1.0, 500.0, 0.0, 0.0}}, unpartitioned);
     EXPECT_LE(c.llc, 1.6);
 }
 
 TEST_F(InterferenceTest, BandwidthContentionGrowsWithDemand)
 {
-    const auto low =
-        model.contention(service, {PressureVector{0.8, 5.0, 10.0, 0.0}});
-    const auto high =
-        model.contention(service, {PressureVector{0.8, 5.0, 50.0, 0.0}});
+    const auto low = model.contentionMulti(
+        service, {}, {PressureVector{0.8, 5.0, 10.0, 0.0}}, unpartitioned);
+    const auto high = model.contentionMulti(
+        service, {}, {PressureVector{0.8, 5.0, 50.0, 0.0}}, unpartitioned);
     EXPECT_GE(high.membw, low.membw);
     EXPECT_GT(high.membw, 0.0);
 }
@@ -70,8 +71,10 @@ TEST_F(InterferenceTest, BandwidthContentionGrowsWithDemand)
 TEST_F(InterferenceTest, MultipleCorunnersAccumulate)
 {
     const PressureVector one{0.8, 20.0, 15.0, 0.0};
-    const auto single = model.contention(service, {one});
-    const auto pair = model.contention(service, {one, one});
+    const auto single =
+        model.contentionMulti(service, {}, {one}, unpartitioned);
+    const auto pair =
+        model.contentionMulti(service, {}, {one, one}, unpartitioned);
     EXPECT_GT(pair.llc, single.llc);
     EXPECT_GT(pair.membw, single.membw);
     EXPECT_GT(pair.activity, single.activity);
@@ -79,8 +82,8 @@ TEST_F(InterferenceTest, MultipleCorunnersAccumulate)
 
 TEST_F(InterferenceTest, SensitivityWeighting)
 {
-    const auto c =
-        model.contention(service, {PressureVector{0.9, 40.0, 40.0, 0.0}});
+    const auto c = model.contentionMulti(
+        service, {}, {PressureVector{0.9, 40.0, 40.0, 0.0}}, unpartitioned);
     Sensitivity insensitive{0.01, 0.01, 0.01, 0.01};
     Sensitivity sensitive{0.5, 0.5, 0.2, 0.3};
     EXPECT_LT(model.inflation(c, insensitive), model.inflation(c, sensitive));
@@ -94,10 +97,10 @@ TEST_F(InterferenceTest, ApproximationReducesInflation)
     const PressureVector precise{0.9, 40.0, 30.0, 0.0};
     const PressureVector approx = precise.scaled(0.9, 0.5, 0.5);
     Sensitivity sens; // defaults
-    const double infl_precise =
-        model.inflation(model.contention(service, {precise}), sens);
-    const double infl_approx =
-        model.inflation(model.contention(service, {approx}), sens);
+    const double infl_precise = model.inflation(
+        model.contentionMulti(service, {}, {precise}, unpartitioned), sens);
+    const double infl_approx = model.inflation(
+        model.contentionMulti(service, {}, {approx}, unpartitioned), sens);
     EXPECT_LT(infl_approx, infl_precise);
 }
 
@@ -109,8 +112,8 @@ TEST_F(InterferenceTest, CapacityAccessors)
 
 TEST_F(InterferenceTest, ComputeChannelIsSmall)
 {
-    const auto c =
-        model.contention(service, {PressureVector{1.0, 0.0, 0.0, 0.0}});
+    const auto c = model.contentionMulti(
+        service, {}, {PressureVector{1.0, 0.0, 0.0, 0.0}}, unpartitioned);
     EXPECT_LE(c.compute, 0.10 + 1e-12);
 }
 
@@ -123,6 +126,7 @@ TEST_P(MonotonicityTest, InflationMonotoneInChannel)
 {
     ServerSpec spec;
     InterferenceModel model(spec);
+    const CachePartition unpartitioned(spec);
     const PressureVector service{0.9, 16.0, 18.0, 6.0};
     Sensitivity sens;
     double prev = 0.0;
@@ -140,8 +144,8 @@ TEST_P(MonotonicityTest, InflationMonotoneInChannel)
                 p.compute = step * 0.1;
                 break;
         }
-        const double infl =
-            model.inflation(model.contention(service, {p}), sens);
+        const double infl = model.inflation(
+            model.contentionMulti(service, {}, {p}, unpartitioned), sens);
         EXPECT_GE(infl, prev - 1e-12)
             << "channel " << GetParam() << " step " << step;
         prev = infl;
@@ -151,31 +155,38 @@ TEST_P(MonotonicityTest, InflationMonotoneInChannel)
 INSTANTIATE_TEST_SUITE_P(Channels, MonotonicityTest,
                          ::testing::Values(0, 1, 2));
 
-TEST_F(InterferenceTest, MultiWithoutPeersEqualsSingleServiceModel)
+TEST_F(InterferenceTest, NoPeersMatchesTheSingleServiceFormulas)
 {
-    // contentionMulti with an empty peer list must be bit-identical
-    // to the historical single-service entry points, shared and
-    // partitioned alike — the engine's single-service regression
-    // rests on this.
+    // With no peers the model is the single-service one every
+    // one-tenant run uses: each channel below is its formula worked
+    // by hand, shared and partitioned.
     const std::vector<PressureVector> tasks{
         PressureVector{0.8, 30.0, 14.0, 0.0},
         PressureVector{0.6, 12.0, 9.0, 0.0}};
-    const CachePartition shared(spec, 0);
-    const auto single = model.contention(service, tasks);
-    const auto multi = model.contentionMulti(service, {}, tasks, shared);
-    EXPECT_EQ(single.llc, multi.llc);
-    EXPECT_EQ(single.membw, multi.membw);
-    EXPECT_EQ(single.compute, multi.compute);
-    EXPECT_EQ(single.activity, multi.activity);
+    const double llc_x = ((16.0 + 30.0 + 12.0) / 55.0 - 0.5) / 0.7;
+    const double bw_x = ((18.0 + 14.0 + 9.0) / 76.8 - 0.35) / 0.65;
+    const double compute = 0.10 * (0.8 + 0.6);
+    const double activity =
+        0.5 * 0.8 + 0.5 * (14.0 / 22.0) + 0.5 * 0.6 + 0.5 * (9.0 / 22.0);
 
-    CachePartition part(spec, 0);
-    ASSERT_TRUE(part.grow() && part.grow() && part.grow());
-    const auto psingle = model.contentionPartitioned(service, tasks, part);
-    const auto pmulti = model.contentionMulti(service, {}, tasks, part);
-    EXPECT_EQ(psingle.llc, pmulti.llc);
-    EXPECT_EQ(psingle.membw, pmulti.membw);
-    EXPECT_EQ(psingle.compute, pmulti.compute);
-    EXPECT_EQ(psingle.activity, pmulti.activity);
+    const auto shared =
+        model.contentionMulti(service, {}, tasks, unpartitioned);
+    EXPECT_DOUBLE_EQ(shared.llc, llc_x * llc_x);
+    EXPECT_DOUBLE_EQ(shared.membw, bw_x * bw_x);
+    EXPECT_DOUBLE_EQ(shared.compute, compute);
+    EXPECT_DOUBLE_EQ(shared.activity, activity);
+
+    // 12 isolated ways (33 MB) hold the 16 MB working set, so the LLC
+    // term vanishes; the tasks' 42 MB squeezed into 8 ways (22 MB)
+    // amplify their 23 GB/s of DRAM traffic.
+    const CachePartition part(spec, 12);
+    const double amp = 1.0 + (42.0 - 22.0) / 22.0 * 0.8;
+    const double pbw_x = ((18.0 + 23.0 * amp) / 76.8 - 0.35) / 0.65;
+    const auto isolated = model.contentionMulti(service, {}, tasks, part);
+    EXPECT_EQ(isolated.llc, 0.0);
+    EXPECT_DOUBLE_EQ(isolated.membw, pbw_x * pbw_x);
+    EXPECT_DOUBLE_EQ(isolated.compute, compute);
+    EXPECT_DOUBLE_EQ(isolated.activity, activity);
 }
 
 TEST_F(InterferenceTest, PartitionedPeersShareServiceSideUnamplified)

@@ -76,26 +76,18 @@ class PartitionedInterferenceTest : public ::testing::Test
   protected:
     ServerSpec spec;
     InterferenceModel model{spec};
+    const CachePartition unpartitioned{spec};
     PressureVector service{0.9, 16.0, 18.0, 6.0};
     PressureVector heavy{0.8, 48.0, 25.0, 0.0};
 };
-
-TEST_F(PartitionedInterferenceTest, UnpartitionedMatchesShared)
-{
-    CachePartition none(spec, 0);
-    const auto a = model.contention(service, {heavy});
-    const auto b = model.contentionPartitioned(service, {heavy}, none);
-    EXPECT_DOUBLE_EQ(a.llc, b.llc);
-    EXPECT_DOUBLE_EQ(a.membw, b.membw);
-    EXPECT_DOUBLE_EQ(a.activity, b.activity);
-}
 
 TEST_F(PartitionedInterferenceTest, IsolationRemovesLlcContention)
 {
     // Give the service 8 ways (22 MB) — enough for its 16 MB set.
     CachePartition part(spec, 8);
-    const auto shared = model.contention(service, {heavy});
-    const auto isolated = model.contentionPartitioned(service, {heavy}, part);
+    const auto shared =
+        model.contentionMulti(service, {}, {heavy}, unpartitioned);
+    const auto isolated = model.contentionMulti(service, {}, {heavy}, part);
     EXPECT_GT(shared.llc, 0.0);
     EXPECT_EQ(isolated.llc, 0.0);
 }
@@ -104,15 +96,16 @@ TEST_F(PartitionedInterferenceTest, TooSmallPartitionHurtsService)
 {
     // One way = 2.75 MB for a 16 MB working set: self-thrashing.
     CachePartition tiny(spec, 1);
-    const auto c = model.contentionPartitioned(service, {heavy}, tiny);
+    const auto c = model.contentionMulti(service, {}, {heavy}, tiny);
     EXPECT_GT(c.llc, 0.0);
 }
 
 TEST_F(PartitionedInterferenceTest, SqueezedCorunnersRaiseBwContention)
 {
     CachePartition part(spec, 12); // co-runners: 22 MB for a 48 MB set
-    const auto shared = model.contention(service, {heavy});
-    const auto isolated = model.contentionPartitioned(service, {heavy}, part);
+    const auto shared =
+        model.contentionMulti(service, {}, {heavy}, unpartitioned);
+    const auto isolated = model.contentionMulti(service, {}, {heavy}, part);
     EXPECT_GE(isolated.membw, shared.membw);
 }
 
@@ -122,10 +115,10 @@ TEST_F(PartitionedInterferenceTest, NetBenefitForLlcSensitiveService)
     // interferer, isolating ways lowers total weighted contention.
     CachePartition part(spec, 8);
     Sensitivity sens{0.2, 0.05, 0.05, 0.1};
-    const double shared =
-        model.inflation(model.contention(service, {heavy}), sens);
+    const double shared = model.inflation(
+        model.contentionMulti(service, {}, {heavy}, unpartitioned), sens);
     const double isolated = model.inflation(
-        model.contentionPartitioned(service, {heavy}, part), sens);
+        model.contentionMulti(service, {}, {heavy}, part), sens);
     EXPECT_LT(isolated, shared);
 }
 

@@ -152,14 +152,6 @@ TEST(RunningStatsTest, MergeOneSidedAndSelfEmpty)
     EXPECT_DOUBLE_EQ(into_empty.max(), 3.0);
 }
 
-TEST(RunningStatsTest, CvOfConstantIsZero)
-{
-    RunningStats s;
-    for (int i = 0; i < 10; ++i)
-        s.add(4.0);
-    EXPECT_DOUBLE_EQ(s.cv(), 0.0);
-}
-
 TEST(PercentileWindowTest, EmptyReturnsZero)
 {
     PercentileWindow w;
