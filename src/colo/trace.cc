@@ -14,12 +14,10 @@ CsvTimelineSink::CsvTimelineSink(std::ostream &os,
                                  double qos_us, bool admission_enabled,
                                  bool budget_enabled)
     : csv(os), columns(std::move(app_columns)), qosUs(qos_us),
-      admissionEnabled(admission_enabled),
-      budgetEnabled(budget_enabled)
+      admissionEnabled(admission_enabled), budgetEnabled(budget_enabled)
 {
-    std::vector<std::string> header{"t_s",      "p99_us",
-                                    "p99_over_qos", "load",
-                                    "decision", "partition_ways"};
+    std::vector<std::string> header{"t_s",  "p99_us",   "p99_over_qos",
+                                    "load", "decision", "partition_ways"};
     for (const auto &name : columns) {
         header.push_back(name + "_variant");
         header.push_back(name + "_reclaimed");
@@ -64,17 +62,15 @@ CsvTimelineSink::onPoint(const TimePoint &tp)
         return columns.size(); // app without a column: not emitted
     };
 
-    std::vector<std::string> row{
-        util::fmt(sim::toSeconds(tp.t), 3),
-        util::fmt(tp.p99Us, 1),
-        util::fmt(tp.p99Us / qosUs, 4),
-        util::fmt(tp.loadFraction, 4),
-        core::decisionName(tp.decision.kind),
-        std::to_string(tp.partitionWays)};
+    std::vector<std::string> row{util::fmt(sim::toSeconds(tp.t), 3),
+                                 util::fmt(tp.p99Us, 1),
+                                 util::fmt(tp.p99Us / qosUs, 4),
+                                 util::fmt(tp.loadFraction, 4),
+                                 core::decisionName(tp.decision.kind),
+                                 std::to_string(tp.partitionWays)};
     std::vector<std::string> variant(columns.size(), "-");
     std::vector<std::string> reclaimed(columns.size(), "-");
-    for (std::size_t a = 0;
-         a < live.size() && a < tp.variantOf.size(); ++a) {
+    for (std::size_t a = 0; a < live.size() && a < tp.variantOf.size(); ++a) {
         const std::size_t c = column_of(live[a]);
         if (c == columns.size())
             continue;
@@ -142,15 +138,13 @@ writeTimelineCsv(std::ostream &os, const ColoResult &result)
         service_names.push_back(svc.name);
 
     CsvTimelineSink sink(os, columns, service_names, result.qosUs,
-                         result.admissionEnabled,
-                         result.budgetEnabled);
+                         result.admissionEnabled, result.budgetEnabled);
     std::size_t roster = 0;
     sink.onRoster(rosters[0]);
     for (const auto &tp : result.timeline) {
         // Points are recorded before the epoch barrier that
         // migrates, so only strictly earlier roster changes apply.
-        while (roster + 1 < rosters.size() &&
-               rosters[roster + 1].t < tp.t) {
+        while (roster + 1 < rosters.size() && rosters[roster + 1].t < tp.t) {
             ++roster;
             sink.onRoster(rosters[roster]);
         }
@@ -162,12 +156,18 @@ void
 writeSummaryCsv(std::ostream &os, const ColoResult &result)
 {
     util::CsvWriter csv(os);
-    std::vector<std::string> header{
-        "service", "runtime", "qos_us", "steady_p99_us",
-        "mean_interval_p99_us", "qos_met_fraction",
-        "max_cores_reclaimed", "typical_cores_reclaimed",
-        "max_partition_ways", "apps", "mean_inaccuracy",
-        "mean_rel_exec"};
+    std::vector<std::string> header{"service",
+                                    "runtime",
+                                    "qos_us",
+                                    "steady_p99_us",
+                                    "mean_interval_p99_us",
+                                    "qos_met_fraction",
+                                    "max_cores_reclaimed",
+                                    "typical_cores_reclaimed",
+                                    "max_partition_ways",
+                                    "apps",
+                                    "mean_inaccuracy",
+                                    "mean_rel_exec"};
     if (result.admissionEnabled) {
         header.push_back("shed_fraction");
         header.push_back("mean_queue_delay_us");
@@ -208,14 +208,18 @@ writeSummaryCsv(std::ostream &os, const ColoResult &result)
         result.apps.empty() ? "-" : util::fmt(rel / n, 4);
     for (const auto &svc : result.services) {
         std::vector<std::string> row{
-            svc.name, result.runtime, util::fmt(svc.qosUs, 1),
+            svc.name,
+            result.runtime,
+            util::fmt(svc.qosUs, 1),
             util::fmt(svc.steadyP99Us, 1),
             util::fmt(svc.meanIntervalP99Us, 1),
             util::fmt(svc.qosMetFraction, 4),
             std::to_string(result.maxCoresReclaimedTotal),
             std::to_string(result.typicalCoresReclaimed),
-            std::to_string(result.maxPartitionWays), apps,
-            mean_inacc, mean_rel};
+            std::to_string(result.maxPartitionWays),
+            apps,
+            mean_inacc,
+            mean_rel};
         if (result.admissionEnabled) {
             row.push_back(util::fmt(svc.shedFraction, 4));
             row.push_back(util::fmt(svc.meanQueueDelayUs, 1));

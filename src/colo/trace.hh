@@ -40,11 +40,9 @@ namespace colo {
 class CsvTimelineSink : public TimelineSink
 {
   public:
-    CsvTimelineSink(std::ostream &os,
-                    std::vector<std::string> app_columns,
-                    std::vector<std::string> service_names,
-                    double qos_us, bool admission_enabled,
-                    bool budget_enabled);
+    CsvTimelineSink(std::ostream &os, std::vector<std::string> app_columns,
+                    std::vector<std::string> service_names, double qos_us,
+                    bool admission_enabled, bool budget_enabled);
 
     void onRoster(const RosterEvent &ev) override;
     void onPoint(const TimePoint &tp) override;
