@@ -66,8 +66,8 @@ main(int argc, char **argv)
         for (const auto &mix : mixes) {
             for (auto rt : runtimes) {
                 colo::ColoConfig cfg = colo::makeMultiServiceConfig(
-                    {{services::ServiceKind::Memcached, sc.memcached},
-                     {services::ServiceKind::Nginx, sc.nginx}},
+                    {{services::ServiceKind::Memcached, sc.memcached, {}},
+                     {services::ServiceKind::Nginx, sc.nginx, {}}},
                     mix, rt, 71);
                 if (quick)
                     cfg.maxDuration = 120 * sim::kSecond;
@@ -83,33 +83,33 @@ main(int argc, char **argv)
     util::TextTable t({"scenario", "apps", "runtime",
                        "memcached p99/QoS", "met%", "nginx p99/QoS",
                        "met%", "inaccuracy", "cores"});
+    // Results come back in config order: per scenario, every
+    // (mix, runtime) cell.
+    const std::size_t cells_per_case = mixes.size() * std::size(runtimes);
     std::size_t cell = 0;
     for (const auto &sc : cases) {
-        for (const auto &mix : mixes) {
-            for (auto rt : runtimes) {
-                (void)rt;
-                const colo::ColoResult &r = results[cell++];
-                std::string apps;
-                double inacc = 0.0;
-                for (const auto &a : r.apps) {
-                    if (!apps.empty())
-                        apps += "+";
-                    apps += a.name;
-                    inacc += a.inaccuracy;
-                }
-                inacc /= static_cast<double>(r.apps.size());
-                const auto &mc = r.services[0];
-                const auto &ngx = r.services[1];
-                t.addRow({sc.label, apps, r.runtime,
-                          util::fmt(mc.meanIntervalP99Us / mc.qosUs,
-                                    2) + "x",
-                          util::fmtPct(mc.qosMetFraction, 0),
-                          util::fmt(ngx.meanIntervalP99Us / ngx.qosUs,
-                                    2) + "x",
-                          util::fmtPct(ngx.qosMetFraction, 0),
-                          util::fmtPct(inacc, 1),
-                          std::to_string(r.maxCoresReclaimedTotal)});
+        for (std::size_t k = 0; k < cells_per_case; ++k) {
+            const colo::ColoResult &r = results[cell++];
+            std::string apps;
+            double inacc = 0.0;
+            for (const auto &a : r.apps) {
+                if (!apps.empty())
+                    apps += "+";
+                apps += a.name;
+                inacc += a.inaccuracy;
             }
+            inacc /= static_cast<double>(r.apps.size());
+            const auto &mc = r.services[0];
+            const auto &ngx = r.services[1];
+            t.addRow({sc.label, apps, r.runtime,
+                      util::fmt(mc.meanIntervalP99Us / mc.qosUs,
+                                2) + "x",
+                      util::fmtPct(mc.qosMetFraction, 0),
+                      util::fmt(ngx.meanIntervalP99Us / ngx.qosUs,
+                                2) + "x",
+                      util::fmtPct(ngx.qosMetFraction, 0),
+                      util::fmtPct(inacc, 1),
+                      std::to_string(r.maxCoresReclaimedTotal)});
         }
     }
     t.print(std::cout);

@@ -16,13 +16,13 @@
  *    equal — double-for-double — between the serial run and an
  *    N-thread node pool.
  *
- * Like perf_tick, the configuration is frozen: the committed
- * BENCH_scale.json is generated with --quick (the CI shape) and the
- * schema checker hard-fails if any deterministic field moves. Also
- * like perf_tick, the work is counted in executed node-ticks and
- * sampled request latencies: the folded `engine.ticks` and
- * `engine.samples` counters of one untimed obs-enabled pass, run
- * after the timed cells so their RSS readings do not include it.
+ * The configuration is frozen: the committed BENCH_scale.json is
+ * generated with --quick (the CI shape) and the schema checker
+ * hard-fails if any deterministic field moves. Work is counted in the
+ * repository benchmark's units, executed node-ticks and sampled
+ * request latencies: the folded `engine.ticks` and `engine.samples`
+ * counters of one untimed obs-enabled pass, run after the timed cells
+ * so their RSS readings do not include it.
  *
  * Usage: fig_scale [--quick] [--threads N] [--out FILE]
  *                  [--rss-limit-mb M]

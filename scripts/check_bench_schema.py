@@ -1,26 +1,25 @@
 #!/usr/bin/env python3
 """Diff a fresh bench JSON against the committed reference.
 
-Works for any bench that writes the shared row shape (perf_tick,
-fig_scale). Fails (exit 1) on schema drift: top-level keys, the
-per-config key set, the config roster/order, or any deterministic
-simulation field changing — the work counts (ticks, samples) and,
-for fig_scale, the cluster rollups (steady_p99_us, worst_ratio) and
-the thread-invariance bit (identical_to_serial), which are pure
-simulation outputs and must not move between machines. Wall-clock
-fields (wall_s, ticks_per_sec, samples_per_sec, peak_rss_mb, and
-perf_tick's per-phase split phase_prelude_s, phase_tenants_s,
-phase_tasks_s, phase_interval_s, interval_share) are noisy on shared
-runners, so they only produce a warning line showing the ratio — the
-perf trajectory artifact is where timing history lives.
+Handles the two committed references:
 
-Also validates metrics exports (perf_tick --metrics-summary writes
-metrics.json, a wrapper with one embedded pliant-metrics-v1 export
-per config). Each metric carries its own stability class in the
-schema: 'deterministic' values must match the committed reference
-exactly (hard fail — these are simulation outputs), while
-'wall_time' values (phase timers, pool stats) are machine noise and
-warn only.
+- fig_scale's row shape (BENCH_scale.json). Fails (exit 1) on schema
+  drift: top-level keys, the per-config key set, the config
+  roster/order, or any deterministic simulation field changing — the
+  work counts (ticks, samples), the cluster shape (nodes, tenants,
+  pool_threads), the cluster rollups (steady_p99_us, worst_ratio) and
+  the thread-invariance bit (identical_to_serial), which are pure
+  simulation outputs and must not move between machines. Wall-clock
+  fields (wall_s, ticks_per_sec, samples_per_sec, peak_rss_mb) are
+  noisy on shared runners, so they only produce a warning line
+  showing the ratio.
+
+- Metrics exports (BENCH_metrics.json; perf_tick --metrics-out writes
+  a wrapper with one embedded pliant-metrics-v1 export per config).
+  Each metric carries its own stability class in the schema:
+  'deterministic' values must match the committed reference exactly
+  (hard fail — these are simulation outputs), while 'wall_time'
+  values (phase timers, pool stats) are machine noise and warn only.
 
 Usage: check_bench_schema.py <committed.json> <fresh.json>
 """
@@ -33,16 +32,10 @@ WALL_CLOCK_FIELDS = {
     "ticks_per_sec",
     "samples_per_sec",
     "peak_rss_mb",
-    "phase_prelude_s",
-    "phase_tenants_s",
-    "phase_tasks_s",
-    "phase_interval_s",
-    "interval_share",
 }
 DETERMINISTIC_FIELDS = {
     "ticks",
     "samples",
-    "fast_sampling",
     "nodes",
     "tenants",
     "pool_threads",

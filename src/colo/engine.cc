@@ -435,22 +435,6 @@ Engine::recordRoster()
     for (const auto &prof : profiles)
         ev.apps.push_back(prof->name);
     partial.rosterChanges.push_back(std::move(ev));
-    if (sink)
-        sink->onRoster(partial.rosterChanges.back());
-}
-
-void
-Engine::setTimelineSink(TimelineSink *new_sink)
-{
-    sink = new_sink;
-    if (!sink)
-        return;
-    // Replay history so a sink attached after construction (or after
-    // early roster churn) still sees every roster event that shaped
-    // the run. Points are not replayed: attach the sink before
-    // advancing the clock to observe the full series.
-    for (const RosterEvent &ev : partial.rosterChanges)
-        sink->onRoster(ev);
 }
 
 Engine::~Engine() = default;
@@ -735,10 +719,10 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 std::max(partial.maxPartitionWays, partition.serviceWays());
 
             // The series point (three vectors) is built only when
-            // someone consumes it.
-            TimePoint tp;
-            if (sink || cfg.retainTimeline)
-                tp = timePoint(now, decision, budget_quality, budget_shed);
+            // the timeline is retained.
+            if (cfg.retainTimeline)
+                partial.timeline.push_back(
+                    timePoint(now, decision, budget_quality, budget_shed));
 
             // Observability at the close, in tenant order.
             if (metrics) {
@@ -786,11 +770,6 @@ Engine::advanceUntil(sim::Time until, bool keep_services_running)
                 }
             }
             intervalStart = now;
-
-            if (sink)
-                sink->onPoint(tp);
-            if (cfg.retainTimeline)
-                partial.timeline.push_back(std::move(tp));
         }
     }
     return done();

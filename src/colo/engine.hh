@@ -379,32 +379,6 @@ struct ColoResult
 };
 
 /**
- * Streaming consumer of the engine's per-interval series: attach one
- * via Engine::setTimelineSink() to receive every TimePoint (and every
- * roster change) as it is produced, instead of replaying a retained
- * ColoResult::timeline afterwards — the incremental-CSV path that
- * makes per-tick retention optional.
- *
- * Delivery contract (matches the retained-replay semantics exactly):
- * onRoster() fires for each app-roster snapshot, onPoint() for each
- * closed decision interval, in simulated-time order. A roster event
- * at time t arrives AFTER the point at time t (points are recorded
- * before the epoch barrier that migrates), so a point is positional
- * over the latest roster with `event.t < point.t`. Attaching a sink
- * replays the roster events recorded so far (normally just the
- * initial roster from the constructor), so attach-then-run sees the
- * full stream. Callbacks run on the engine's tick thread; the sink
- * must not touch the engine reentrantly.
- */
-class TimelineSink
-{
-  public:
-    virtual ~TimelineSink() = default;
-    virtual void onRoster(const RosterEvent &ev) = 0;
-    virtual void onPoint(const TimePoint &tp) = 0;
-};
-
-/**
  * Validate an app list and its optional parallel initial-variant
  * list against the catalog: duplicates, unknown names, and
  * out-of-range variant indices all throw util::FatalError. Shared
@@ -506,16 +480,6 @@ class Engine
      * before approximating further.
      */
     std::vector<core::ServiceRelief> reliefPredictions() const;
-
-    /**
-     * Attach a streaming consumer of the per-interval series (null
-     * detaches). Non-owning; the sink must outlive the run. Already-
-     * recorded roster events are replayed immediately so a sink
-     * attached between construction and the first advanceUntil()
-     * observes the complete stream. Independent of
-     * cfg.retainTimeline: a sink streams either way.
-     */
-    void setTimelineSink(TimelineSink *sink);
 
     /**
      * Attach a span-trace writer (null detaches). Non-owning; must
@@ -676,8 +640,6 @@ class Engine
     double budgetShedSumPost = 0.0;
     double budgetQualitySumWarmup = 0.0;
     double budgetShedSumWarmup = 0.0;
-    /** Streaming consumer (non-owning; null = none). */
-    TimelineSink *sink = nullptr;
 
     // --- observability (all null/empty when disabled) ---
     /**

@@ -8,98 +8,6 @@
 namespace pliant {
 namespace colo {
 
-CsvTimelineSink::CsvTimelineSink(std::ostream &os,
-                                 std::vector<std::string> app_columns,
-                                 std::vector<std::string> service_names,
-                                 double qos_us, bool admission_enabled,
-                                 bool budget_enabled)
-    : csv(os), columns(std::move(app_columns)), qosUs(qos_us),
-      admissionEnabled(admission_enabled), budgetEnabled(budget_enabled)
-{
-    std::vector<std::string> header{"t_s",  "p99_us",   "p99_over_qos",
-                                    "load", "decision", "partition_ways"};
-    for (const auto &name : columns) {
-        header.push_back(name + "_variant");
-        header.push_back(name + "_reclaimed");
-    }
-    for (std::size_t s = 1; s < service_names.size(); ++s) {
-        header.push_back(service_names[s] + "_p99_us");
-        header.push_back(service_names[s] + "_load");
-    }
-    if (admissionEnabled) {
-        for (const auto &name : service_names) {
-            header.push_back(name + "_shed");
-            header.push_back(name + "_qdelay_us");
-        }
-    }
-    if (budgetEnabled) {
-        header.push_back("budget_quality_used");
-        header.push_back("budget_shed_used");
-        header.push_back("node_quality_slice");
-        header.push_back("node_shed_slice");
-    }
-    csv.writeRow(header);
-}
-
-void
-CsvTimelineSink::onRoster(const RosterEvent &ev)
-{
-    live = ev.apps;
-}
-
-void
-CsvTimelineSink::onPoint(const TimePoint &tp)
-{
-    // Positional variant/reclaimed slots are attributed through the
-    // roster most recently received; the delivery contract (a point
-    // at time t arrives before a roster event at t) makes this match
-    // the retained-replay rule "only strictly earlier roster changes
-    // apply".
-    const auto column_of = [&](const std::string &name) {
-        for (std::size_t c = 0; c < columns.size(); ++c)
-            if (columns[c] == name)
-                return c;
-        return columns.size(); // app without a column: not emitted
-    };
-
-    std::vector<std::string> row{util::fmt(sim::toSeconds(tp.t), 3),
-                                 util::fmt(tp.p99Us, 1),
-                                 util::fmt(tp.p99Us / qosUs, 4),
-                                 util::fmt(tp.loadFraction, 4),
-                                 core::decisionName(tp.decision.kind),
-                                 std::to_string(tp.partitionWays)};
-    std::vector<std::string> variant(columns.size(), "-");
-    std::vector<std::string> reclaimed(columns.size(), "-");
-    for (std::size_t a = 0; a < live.size() && a < tp.variantOf.size(); ++a) {
-        const std::size_t c = column_of(live[a]);
-        if (c == columns.size())
-            continue;
-        variant[c] = std::to_string(tp.variantOf[a]);
-        reclaimed[c] = std::to_string(tp.reclaimed[a]);
-    }
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-        row.push_back(variant[c]);
-        row.push_back(reclaimed[c]);
-    }
-    for (std::size_t s = 1; s < tp.services.size(); ++s) {
-        row.push_back(util::fmt(tp.services[s].p99Us, 1));
-        row.push_back(util::fmt(tp.services[s].loadFraction, 4));
-    }
-    if (admissionEnabled) {
-        for (const auto &svc : tp.services) {
-            row.push_back(util::fmt(svc.shedFraction, 4));
-            row.push_back(util::fmt(svc.queueDelayUs, 1));
-        }
-    }
-    if (budgetEnabled) {
-        row.push_back(util::fmt(tp.budgetQualityUsed, 5));
-        row.push_back(util::fmt(tp.budgetShedUsed, 4));
-        row.push_back(util::fmt(tp.budgetQualityCap, 5));
-        row.push_back(util::fmt(tp.budgetShedCap, 4));
-    }
-    csv.writeRow(row);
-}
-
 void
 writeTimelineCsv(std::ostream &os, const ColoResult &result)
 {
@@ -108,9 +16,7 @@ writeTimelineCsv(std::ostream &os, const ColoResult &result)
     // exactly result.apps and the output is unchanged; with them,
     // each row's positional variant/reclaimed slots are attributed
     // through the roster active at that row's time, and apps not
-    // present at that instant print "-". A replay knows the full
-    // roster history up front, so unlike a live sink it never drops
-    // a late-arriving app's columns.
+    // present at that instant print "-".
     std::vector<std::string> columns;
     const auto column_of = [&](const std::string &name) {
         for (std::size_t c = 0; c < columns.size(); ++c)
@@ -132,23 +38,74 @@ writeTimelineCsv(std::ostream &os, const ColoResult &result)
         for (const auto &name : ev.apps)
             column_of(name);
 
-    std::vector<std::string> service_names;
-    service_names.reserve(result.services.size());
-    for (const auto &svc : result.services)
-        service_names.push_back(svc.name);
+    util::CsvWriter csv(os);
+    std::vector<std::string> header{"t_s",  "p99_us",   "p99_over_qos",
+                                    "load", "decision", "partition_ways"};
+    for (const auto &name : columns) {
+        header.push_back(name + "_variant");
+        header.push_back(name + "_reclaimed");
+    }
+    for (std::size_t s = 1; s < result.services.size(); ++s) {
+        header.push_back(result.services[s].name + "_p99_us");
+        header.push_back(result.services[s].name + "_load");
+    }
+    if (result.admissionEnabled) {
+        for (const auto &svc : result.services) {
+            header.push_back(svc.name + "_shed");
+            header.push_back(svc.name + "_qdelay_us");
+        }
+    }
+    if (result.budgetEnabled) {
+        header.push_back("budget_quality_used");
+        header.push_back("budget_shed_used");
+        header.push_back("node_quality_slice");
+        header.push_back("node_shed_slice");
+    }
+    csv.writeRow(header);
 
-    CsvTimelineSink sink(os, columns, service_names, result.qosUs,
-                         result.admissionEnabled, result.budgetEnabled);
     std::size_t roster = 0;
-    sink.onRoster(rosters[0]);
     for (const auto &tp : result.timeline) {
         // Points are recorded before the epoch barrier that
         // migrates, so only strictly earlier roster changes apply.
-        while (roster + 1 < rosters.size() && rosters[roster + 1].t < tp.t) {
+        while (roster + 1 < rosters.size() && rosters[roster + 1].t < tp.t)
             ++roster;
-            sink.onRoster(rosters[roster]);
+        const std::vector<std::string> &live = rosters[roster].apps;
+
+        std::vector<std::string> row{util::fmt(sim::toSeconds(tp.t), 3),
+                                     util::fmt(tp.p99Us, 1),
+                                     util::fmt(tp.p99Us / result.qosUs, 4),
+                                     util::fmt(tp.loadFraction, 4),
+                                     core::decisionName(tp.decision.kind),
+                                     std::to_string(tp.partitionWays)};
+        std::vector<std::string> variant(columns.size(), "-");
+        std::vector<std::string> reclaimed(columns.size(), "-");
+        for (std::size_t a = 0; a < live.size() && a < tp.variantOf.size();
+             ++a) {
+            const std::size_t c = column_of(live[a]);
+            variant[c] = std::to_string(tp.variantOf[a]);
+            reclaimed[c] = std::to_string(tp.reclaimed[a]);
         }
-        sink.onPoint(tp);
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            row.push_back(variant[c]);
+            row.push_back(reclaimed[c]);
+        }
+        for (std::size_t s = 1; s < tp.services.size(); ++s) {
+            row.push_back(util::fmt(tp.services[s].p99Us, 1));
+            row.push_back(util::fmt(tp.services[s].loadFraction, 4));
+        }
+        if (result.admissionEnabled) {
+            for (const auto &svc : tp.services) {
+                row.push_back(util::fmt(svc.shedFraction, 4));
+                row.push_back(util::fmt(svc.queueDelayUs, 1));
+            }
+        }
+        if (result.budgetEnabled) {
+            row.push_back(util::fmt(tp.budgetQualityUsed, 5));
+            row.push_back(util::fmt(tp.budgetShedUsed, 4));
+            row.push_back(util::fmt(tp.budgetQualityCap, 5));
+            row.push_back(util::fmt(tp.budgetShedCap, 4));
+        }
+        csv.writeRow(row);
     }
 }
 

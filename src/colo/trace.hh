@@ -2,59 +2,18 @@
  * @file
  * Trace export: serialize a ColoResult's timeline and summary to CSV
  * so external plotting tools can regenerate the paper's figures from
- * the same data the text benches print. The timeline writer is built
- * on CsvTimelineSink, a TimelineSink that can also be attached to a
- * live Engine so rows stream to disk during the run instead of being
- * replayed from a retained vector (ColoConfig::retainTimeline).
+ * the same data the text benches print.
  */
 
 #ifndef PLIANT_COLO_TRACE_HH
 #define PLIANT_COLO_TRACE_HH
 
 #include <ostream>
-#include <string>
-#include <vector>
 
 #include "colo/engine.hh"
-#include "util/table.hh"
 
 namespace pliant {
 namespace colo {
-
-/**
- * TimelineSink that emits one CSV row per interval close, in exactly
- * the format writeTimelineCsv produces. The header is written at
- * construction (so even a zero-interval run yields a well-formed
- * file), which fixes the column set up front: pass every app name
- * that may ever run on the node in `app_columns` (first-appearance
- * order). Roster events keep per-row variant/reclaimed attribution
- * correct across migrations; an app attached at runtime that is not
- * in `app_columns` simply never gets a column (its slots print
- * nowhere), since a CSV header cannot be widened retroactively.
- *
- * Attach via Engine::setTimelineSink() before advancing the clock to
- * capture the full series; writeTimelineCsv drives this same class
- * from a retained timeline, so live and replayed output are
- * byte-identical for the same column set.
- */
-class CsvTimelineSink : public TimelineSink
-{
-  public:
-    CsvTimelineSink(std::ostream &os, std::vector<std::string> app_columns,
-                    std::vector<std::string> service_names, double qos_us,
-                    bool admission_enabled, bool budget_enabled);
-
-    void onRoster(const RosterEvent &ev) override;
-    void onPoint(const TimePoint &tp) override;
-
-  private:
-    util::CsvWriter csv;
-    std::vector<std::string> columns;
-    std::vector<std::string> live;
-    double qosUs;
-    bool admissionEnabled;
-    bool budgetEnabled;
-};
 
 /**
  * Write the per-interval timeline as CSV. Columns:
@@ -66,8 +25,7 @@ class CsvTimelineSink : public TimelineSink
  * Runs with the admission front-end enabled additionally get, per
  * service: <name>_shed, <name>_qdelay_us — the columns are keyed on
  * ColoResult::admissionEnabled so disabled runs stay byte-identical.
- * Requires a retained timeline (ColoConfig::retainTimeline); runs
- * that stream instead should attach a CsvTimelineSink to the engine.
+ * Requires a retained timeline (ColoConfig::retainTimeline).
  */
 void writeTimelineCsv(std::ostream &os, const ColoResult &result);
 

@@ -33,9 +33,6 @@ class Clock
     /** Advance one tick and return the new time. */
     Time advance();
 
-    /** Reset to time zero. */
-    void reset() { current = 0; }
-
   private:
     Time stepSize;
     Time current = 0;

@@ -45,8 +45,9 @@ TEST(ConfigBuilderTest, BuildsTheEquivalentHandWrittenConfig)
     ColoConfig manual = makeMultiServiceConfig(
         {{services::ServiceKind::Memcached,
           Scenario::flashCrowd(0.60, 0.95, 30 * s, 3 * s, 20 * s,
-                               10 * s)},
-         {services::ServiceKind::Nginx, Scenario::constant(0.65)}},
+                               10 * s),
+          {}},
+         {services::ServiceKind::Nginx, Scenario::constant(0.65), {}}},
         {"canneal", "bayesian"}, core::RuntimeKind::Pliant, 71);
     manual.maxDuration = 120 * s;
 

@@ -113,7 +113,7 @@ TEST(EngineRegressionTest, ExplicitConstantTenantEqualsLegacyConfig)
 
     ColoConfig modern = legacy;
     modern.services = {{services::ServiceKind::Memcached,
-                        Scenario::constant(legacy.loadFraction)}};
+                        Scenario::constant(legacy.loadFraction), {}}};
 
     Engine a(legacy), b(modern);
     const ColoResult ra = a.run(), rb = b.run();
@@ -185,8 +185,9 @@ acceptanceConfigs()
         ColoConfig cfg = makeMultiServiceConfig(
             {{services::ServiceKind::Memcached,
               Scenario::flashCrowd(0.60, 0.95, 30 * s, 3 * s, 20 * s,
-                                   10 * s)},
-             {services::ServiceKind::Nginx, Scenario::constant(0.65)}},
+                                   10 * s),
+              {}},
+             {services::ServiceKind::Nginx, Scenario::constant(0.65), {}}},
             {"canneal", "bayesian"}, rt, 71);
         cfg.maxDuration = 120 * s;
         configs.push_back(cfg);
@@ -272,7 +273,7 @@ TEST(EngineMultiServiceTest, ScenarioLoadShowsUpInTheTimeline)
     const sim::Time s = sim::kSecond;
     ColoConfig cfg = makeMultiServiceConfig(
         {{services::ServiceKind::Memcached,
-          Scenario::step(0.45, 0.90, 20 * s)}},
+          Scenario::step(0.45, 0.90, 20 * s), {}}},
         {"bayesian"}, core::RuntimeKind::Pliant, 3);
     cfg.maxDuration = 40 * s;
     Engine engine(cfg);
@@ -301,8 +302,8 @@ TEST(EngineMultiServiceTest, CachePartitioningWorksWithTwoTenants)
     // must stay deterministic across thread counts.
     const sim::Time s = sim::kSecond;
     ColoConfig cfg = makeMultiServiceConfig(
-        {{services::ServiceKind::Nginx, Scenario::constant(0.70)},
-         {services::ServiceKind::MongoDb, Scenario::constant(0.60)}},
+        {{services::ServiceKind::Nginx, Scenario::constant(0.70), {}},
+         {services::ServiceKind::MongoDb, Scenario::constant(0.60), {}}},
         {"canneal", "streamcluster"}, core::RuntimeKind::Pliant, 19);
     cfg.enableCachePartitioning = true;
     cfg.maxDuration = 120 * s;
@@ -334,8 +335,8 @@ TEST(EngineValidationTest, RejectsDuplicateServices)
 {
     ColoConfig cfg;
     cfg.apps = {"canneal"};
-    cfg.services = {{services::ServiceKind::Memcached, {}},
-                    {services::ServiceKind::Memcached, {}}};
+    cfg.services = {{services::ServiceKind::Memcached, {}, {}},
+                    {services::ServiceKind::Memcached, {}, {}}};
     EXPECT_THROW(Engine e(cfg), util::FatalError);
 }
 

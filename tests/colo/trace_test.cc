@@ -139,42 +139,6 @@ TEST(TraceTest, StreamingRunMatchesRetainedSummaryBytes)
     EXPECT_EQ(a.str(), b.str());
 }
 
-TEST(TraceTest, LiveSinkMatchesRetainedReplayBytes)
-{
-    // A CsvTimelineSink attached to a live engine must emit exactly
-    // the rows writeTimelineCsv replays from a retained run of the
-    // same config.
-    ColoConfig cfg;
-    cfg.service = services::ServiceKind::Memcached;
-    cfg.apps = {"canneal"};
-    cfg.seed = 37;
-
-    Engine retained_run(cfg);
-    const ColoResult retained = retained_run.run();
-    std::ostringstream replayed;
-    writeTimelineCsv(replayed, retained);
-
-    ColoConfig streaming_cfg = cfg;
-    streaming_cfg.retainTimeline = false;
-    Engine streaming_run(streaming_cfg);
-    std::ostringstream live;
-    std::vector<std::string> columns;
-    for (const auto &app : retained.apps)
-        columns.push_back(app.name);
-    std::vector<std::string> service_names;
-    for (const auto &svc : retained.services)
-        service_names.push_back(svc.name);
-    CsvTimelineSink sink(live, columns, service_names,
-                         retained.qosUs, retained.admissionEnabled,
-                         retained.budgetEnabled);
-    streaming_run.setTimelineSink(&sink);
-    const ColoResult streaming = streaming_run.run();
-
-    EXPECT_TRUE(streaming.timeline.empty());
-    EXPECT_EQ(live.str(), replayed.str());
-    EXPECT_FALSE(live.str().empty());
-}
-
 TEST(PartitionIntegrationTest, PartitioningPrecedesCoreReclamation)
 {
     const ColoResult with = sampleRun(core::RuntimeKind::Pliant, true);
@@ -245,10 +209,10 @@ TEST(TraceTest, MultiServiceTimelineAddsPerServiceColumns)
 {
     const sim::Time s = sim::kSecond;
     ColoConfig cfg = makeMultiServiceConfig(
-        {{services::ServiceKind::Memcached, Scenario::constant(0.7)},
+        {{services::ServiceKind::Memcached, Scenario::constant(0.7), {}},
          {services::ServiceKind::Nginx,
-          Scenario::flashCrowd(0.6, 0.9, 20 * s, 2 * s, 10 * s,
-                               5 * s)}},
+          Scenario::flashCrowd(0.6, 0.9, 20 * s, 2 * s, 10 * s, 5 * s),
+          {}}},
         {"canneal", "bayesian"}, core::RuntimeKind::Pliant, 36);
     cfg.maxDuration = 60 * s;
     Engine exp(cfg);

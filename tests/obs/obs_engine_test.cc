@@ -44,8 +44,9 @@ engineConfig()
     colo::ColoConfig cfg = colo::makeMultiServiceConfig(
         {{services::ServiceKind::Memcached,
           colo::Scenario::flashCrowd(0.45, 1.10, 15 * kS, 3 * kS, 20 * kS,
-                                     5 * kS)},
-         {services::ServiceKind::Nginx, colo::Scenario::constant(0.45)}},
+                                     5 * kS),
+          {}},
+         {services::ServiceKind::Nginx, colo::Scenario::constant(0.45), {}}},
         {"canneal", "bayesian"}, core::RuntimeKind::Pliant, 71);
     cfg.admission.enabled = true;
     cfg.admission.policy = admission::AdmissionKind::QosShed;

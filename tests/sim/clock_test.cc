@@ -36,14 +36,6 @@ TEST(ClockTest, AdvancesByStep)
     EXPECT_EQ(c.now(), 10 * kMillisecond);
 }
 
-TEST(ClockTest, ResetReturnsToZero)
-{
-    Clock c;
-    c.advance();
-    c.reset();
-    EXPECT_EQ(c.now(), 0);
-}
-
 TEST(ClockTest, RejectsNonPositiveStep)
 {
     EXPECT_THROW(Clock(0), pliant::util::FatalError);
